@@ -1,14 +1,7 @@
-//! Ablation benchmarks for symmetry-aware search-space collapse, on
-//! instances with large automorphism groups (cycle C12, grid4x4, myciel4,
-//! and the decomposable star-of-cliques) plus a random control whose group
-//! is trivial (the aut-probe overhead must disappear into noise there).
+//! Benchmarks for enumeration modulo symmetry, on instances with large
+//! automorphism groups (cycle C12, grid4x4, myciel4, and the decomposable
+//! star-of-cliques) plus a random control whose group is trivial.
 //!
-//! Two questions, two row families:
-//!
-//! * **Probe/sharing overhead** — raw ranked-first-10 under
-//!   `SymmetryPolicy::Full` (the default) vs `Off`. Full mode emits the
-//!   identical stream; the difference is the one-time automorphism probe
-//!   plus the orbit-canonical bookkeeping.
 //! * **Quotient speedup** — "give me 10 *meaningfully different* results".
 //!   `modulo_distinct10` asks the engine (`--modulo-symmetry`,
 //!   `max_results(10)`), which drops orbit-duplicate children before their
@@ -16,10 +9,11 @@
 //!   without it: stream the baseline enumeration and deduplicate fill sets
 //!   by automorphism orbit until 10 distinct orbits have been seen. Same
 //!   deliverable, so the ratio is the honest price of post-hoc dedup.
+//! * **Probe cost** — the automorphism probe in isolation, which every
+//!   modulo session pays once.
 //!
-//! Each instance logs its discovered group order and the replayed/merged
-//! counters once, so the snapshot note can record how often the machinery
-//! actually fires.
+//! Each instance logs its discovered group order and the merged counter
+//! once, so the snapshot note can record how often the quotient fires.
 //!
 //! Snapshot with `MTR_BENCH_JSON=BENCH_symmetry.json cargo bench -p
 //! mtr-bench --bench symmetry`.
@@ -100,20 +94,9 @@ fn instances() -> Vec<(&'static str, Graph)> {
         ("paley13", paley(13)),
         ("star_of_cliques", star_of_cliques(4, 4, 2)),
         // Control: a seeded random graph with a trivial automorphism
-        // group, so full mode pays exactly one failed probe.
+        // group, so modulo mode pays exactly one failed probe.
         ("gnp20_020", gnp_connected(20, 0.20, 7)),
     ]
-}
-
-fn ranked_first_10(g: &Graph, symmetry: SymmetryPolicy) -> usize {
-    Enumerate::on(g)
-        .cost(&FillIn)
-        .max_results(10)
-        .symmetry(symmetry)
-        .run()
-        .expect("session is well-configured")
-        .results
-        .len()
 }
 
 /// Canonical representative of a fill set's orbit under `generators` —
@@ -174,7 +157,14 @@ fn client_distinct_10(g: &Graph) -> usize {
 
 /// Ten orbit-distinct results the engine's way.
 fn modulo_distinct_10(g: &Graph) -> usize {
-    ranked_first_10(g, SymmetryPolicy::ModuloSymmetry)
+    Enumerate::on(g)
+        .cost(&FillIn)
+        .max_results(10)
+        .symmetry(SymmetryPolicy::ModuloSymmetry)
+        .run()
+        .expect("session is well-configured")
+        .results
+        .len()
 }
 
 fn bench_symmetry(c: &mut Criterion) {
@@ -183,42 +173,21 @@ fn bench_symmetry(c: &mut Criterion) {
         .sample_size(10)
         .measurement_time(Duration::from_secs(3));
     for (name, g) in instances() {
-        // One diagnostic run per (instance, mode): group order and how much
-        // the orbit machinery fired, for the snapshot's note.
-        for (mode, policy) in [
-            ("full", SymmetryPolicy::Full),
-            ("modulo", SymmetryPolicy::ModuloSymmetry),
-        ] {
-            let run = Enumerate::on(&g)
-                .cost(&FillIn)
-                .max_results(10)
-                .symmetry(policy)
-                .run()
-                .expect("session is well-configured");
-            eprintln!(
-                "{name}/{mode}: |Aut|={} replayed={} merged={} results={} nodes_explored={}",
-                run.stats.symmetry_group_order,
-                run.stats.subproblems_replayed,
-                run.stats.orbits_merged,
-                run.results.len(),
-                run.stats.nodes_explored,
-            );
-        }
-        // The trivial-group control's full/off gap is the ≤5% overhead
-        // criterion, and host jitter on a ~200 ms workload easily exceeds
-        // that — give its rows three times the samples so the medians
-        // converge.
-        if name == "gnp20_020" {
-            group
-                .sample_size(30)
-                .measurement_time(Duration::from_secs(9));
-        }
-        // Probe/sharing overhead rows: identical output, default vs off.
-        for (mode, policy) in [("full", SymmetryPolicy::Full), ("off", SymmetryPolicy::Off)] {
-            group.bench_with_input(BenchmarkId::new(mode, name), &g, |b, g| {
-                b.iter(|| ranked_first_10(g, policy))
-            });
-        }
+        // One diagnostic run per instance: group order and how much the
+        // quotient fired, for the snapshot's note.
+        let run = Enumerate::on(&g)
+            .cost(&FillIn)
+            .max_results(10)
+            .symmetry(SymmetryPolicy::ModuloSymmetry)
+            .run()
+            .expect("session is well-configured");
+        eprintln!(
+            "{name}/modulo: |Aut|={} merged={} results={} nodes_explored={}",
+            run.stats.symmetry_group_order,
+            run.stats.orbits_merged,
+            run.results.len(),
+            run.stats.nodes_explored,
+        );
         // Quotient rows: same deliverable (10 orbit-distinct results),
         // engine quotient vs client-side dedup of the baseline stream.
         group.bench_with_input(BenchmarkId::new("modulo_distinct10", name), &g, |b, g| {
@@ -231,10 +200,9 @@ fn bench_symmetry(c: &mut Criterion) {
     group.finish();
 
     // The probe in isolation, for the two instances where its relative
-    // cost is the question: the trivial-group control (the full/off gap
-    // there must be pure noise — this row shows the actual probe cost is
-    // orders of magnitude below it) and the star of cliques, whose tiny
-    // workload makes its huge-group probe the entire full/off gap.
+    // cost is the question: the trivial-group control (one failed probe)
+    // and the star of cliques, whose group is huge but whose workload is
+    // tiny.
     let mut probe = c.benchmark_group("symmetry_probe");
     probe
         .sample_size(10)

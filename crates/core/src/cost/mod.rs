@@ -188,13 +188,12 @@ pub trait BagCost {
     /// `cost(σ(H)) = cost(H)`. Equivalently, [`BagCost::cost_of_bags`]
     /// depends only on the isomorphism type of `(g[scope], bags)`.
     ///
-    /// Symmetry-aware machinery (orbit-canonical subproblem sharing,
-    /// `--modulo-symmetry`) is only sound for label-invariant costs — an
-    /// automorphism of the graph must map optimal solutions to equally
-    /// optimal solutions. The default is `false`, which simply disables
-    /// those optimizations; declaring `true` for a cost that does depend
-    /// on vertex identities (e.g. per-vertex weights) would corrupt the
-    /// ranked order.
+    /// Enumeration modulo symmetry (`--modulo-symmetry`) is only sound for
+    /// label-invariant costs — an automorphism of the graph must map
+    /// optimal solutions to equally optimal solutions. The default is
+    /// `false`, which simply disables the quotient; declaring `true` for a
+    /// cost that does depend on vertex identities (e.g. per-vertex weights)
+    /// would corrupt the quotient stream.
     fn label_invariant(&self) -> bool {
         false
     }

@@ -22,9 +22,9 @@
 //!   engine and the factorized per-atom engine of `mtr-reduce` execute on;
 //! * [`diverse`] — diversity-aware filtering of the ranked stream (the
 //!   diversification question raised in the paper's conclusions);
-//! * [`symmetry`] — symmetry-aware search-space collapse: orbit-canonical
-//!   exact-cost sharing of constrained re-optimizations in full mode, and
-//!   enumeration modulo the automorphism group ([`SymmetryPolicy`]);
+//! * [`symmetry`] — opt-in enumeration modulo the automorphism group: one
+//!   cheapest representative per orbit of minimal triangulations
+//!   ([`SymmetryPolicy`]);
 //! * [`session`] — the canonical entry point: the [`Enumerate`]
 //!   builder/session API composing all of the above, with budgets
 //!   ([`StopReason`]), statistics ([`EnumerationStats`]) and typed errors
@@ -75,7 +75,7 @@ pub use properdec::{
     top_k_proper_decompositions, ProperDecompositionEnumerator, RankedDecomposition,
 };
 pub use ranked::{
-    all_triangulations_ranked, top_k_triangulations, RankedEnumerator, RankedState,
+    all_triangulations_ranked, top_k_triangulations, EngineCounters, RankedEnumerator, RankedState,
     RankedTriangulation,
 };
 pub use session::{

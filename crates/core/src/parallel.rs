@@ -27,8 +27,8 @@ use crate::cancel::CancelFlag;
 use crate::cost::{BagCost, Constrained, Constraints, CostValue};
 use crate::mintriang::{min_triangulation_in, Preprocessed, Triangulation};
 use crate::pool::{self, Scratch, WorkerPool};
-use crate::ranked::RankedTriangulation;
-use crate::symmetry::{ModuloDedup, OrbitContext, OrbitShare, SymmetryMode};
+use crate::ranked::{EngineCounters, RankedTriangulation};
+use crate::symmetry::{ModuloDedup, OrbitContext};
 use mtr_graph::VertexSet;
 use mtr_separators::enumerate::minimal_separators;
 use std::cmp::Ordering;
@@ -36,13 +36,10 @@ use std::collections::{BinaryHeap, HashSet};
 use std::sync::Arc;
 
 /// Mirror of the sequential engine's node state: solved entries carry their
-/// exact-cost optimum, deferred entries an admissible lower bound, and
-/// known (orbit-replayed) entries their exact cost without the
-/// triangulation itself.
+/// exact-cost optimum, deferred entries an admissible lower bound.
 enum EntryState {
     Solved(Triangulation),
     Deferred,
-    Known,
 }
 
 struct Entry {
@@ -100,12 +97,8 @@ pub struct ParallelRankedEnumerator<'a, 'p, K: BagCost + Sync + ?Sized> {
     /// batch: iteration stops and the session layer surfaces it as a
     /// typed error instead of a process-killing unwind.
     failed: Option<String>,
-    /// Symmetry machinery (orbit sharing or modulo quotienting); see
-    /// [`crate::symmetry`]. Unlike the sequential engine — which records a
-    /// child's outcome before its next sibling's lookup — a whole eager
-    /// batch is looked up before any of it is solved, so the parallel
-    /// engine may replay fewer cousins; the output is unaffected.
-    symmetry: SymmetryMode,
+    /// Orbit quotienting (modulo-symmetry mode); see [`crate::symmetry`].
+    modulo: Option<ModuloDedup>,
 }
 
 impl<'a, 'p, K: BagCost + Sync + ?Sized> ParallelRankedEnumerator<'a, 'p, K> {
@@ -140,7 +133,7 @@ impl<'a, 'p, K: BagCost + Sync + ?Sized> ParallelRankedEnumerator<'a, 'p, K> {
             nodes_deferred: 0,
             cancel: None,
             failed: None,
-            symmetry: SymmetryMode::Off,
+            modulo: None,
         }
     }
 
@@ -165,63 +158,28 @@ impl<'a, 'p, K: BagCost + Sync + ?Sized> ParallelRankedEnumerator<'a, 'p, K> {
         self
     }
 
-    /// Turns on orbit-canonical exact-cost sharing; identical semantics to
-    /// [`crate::ranked::RankedState::enable_orbit_sharing`].
-    pub fn with_orbit_sharing(mut self, ctx: Arc<OrbitContext>) -> Self {
-        debug_assert!(!self.started, "configure symmetry before iterating");
-        self.symmetry = SymmetryMode::Share(OrbitShare::new(ctx));
-        self
-    }
-
     /// Quotients the stream by the automorphism group; identical semantics
     /// to [`crate::ranked::RankedState::enable_modulo_symmetry`].
     pub fn with_modulo_symmetry(mut self, ctx: Arc<OrbitContext>) -> Self {
         debug_assert!(!self.started, "configure symmetry before iterating");
-        self.symmetry = SymmetryMode::Modulo(ModuloDedup::new(ctx));
+        self.modulo = Some(ModuloDedup::new(ctx));
         self
     }
 
-    /// Number of re-optimizations skipped by orbit replay; see
-    /// [`crate::ranked::RankedState::orbit_replays`].
-    pub fn orbit_replays(&self) -> usize {
-        self.symmetry.orbit_replays()
-    }
-
-    /// Number of branches/results merged into their orbit representative;
-    /// see [`crate::ranked::RankedState::orbits_merged`].
-    pub fn orbits_merged(&self) -> usize {
-        self.symmetry.orbits_merged()
-    }
-
-    /// Number of constrained re-optimizations deferred by pruning and never
-    /// (yet) paid for; see
-    /// [`crate::ranked::RankedEnumerator::nodes_pruned`].
-    pub fn nodes_pruned(&self) -> usize {
-        self.nodes_deferred
-    }
-
-    /// The current incumbent cost bound, if pruning is active and a bound is
-    /// known (the heuristic seed, then the most recently emitted cost).
-    pub fn incumbent(&self) -> Option<CostValue> {
-        self.incumbent
-    }
-
-    /// Number of results skipped as duplicates (expected to be zero; see
-    /// [`crate::ranked::RankedEnumerator::duplicates_skipped`]).
-    pub fn duplicates_skipped(&self) -> usize {
-        self.duplicates_skipped
-    }
-
-    /// Number of Lawler–Murty partitions explored so far (one constrained
-    /// `MinTriang` re-optimization each); see
-    /// [`crate::ranked::RankedEnumerator::nodes_explored`].
-    pub fn nodes_explored(&self) -> usize {
-        self.nodes_explored
-    }
-
-    /// Number of partitions currently pending in the priority queue.
-    pub fn queue_depth(&self) -> usize {
-        self.queue.len()
+    /// The engine's work counters so far; identical semantics to
+    /// [`crate::ranked::RankedState::counters`], except that
+    /// `arena_bytes_reused` is always `0`: the scratch lives in the pool's
+    /// workers, so the pool reports it.
+    pub fn counters(&self) -> EngineCounters {
+        EngineCounters {
+            queue_depth: self.queue.len(),
+            nodes_explored: self.nodes_explored,
+            duplicates_skipped: self.duplicates_skipped,
+            nodes_pruned: self.nodes_deferred,
+            incumbent: self.incumbent,
+            arena_bytes_reused: 0,
+            orbits_merged: self.modulo.as_ref().map_or(0, |m| m.merged),
+        }
     }
 
     /// The message of the pool-task panic (or injected `pool.task` fault)
@@ -285,7 +243,7 @@ impl<'a, 'p, K: BagCost + Sync + ?Sized> ParallelRankedEnumerator<'a, 'p, K> {
             .collect()
     }
 
-    /// Pays for a deferred or orbit-replayed partition that reached the top
+    /// Pays for a deferred partition that reached the top
     /// of the queue: one constrained re-optimization (a single pool task),
     /// reinserted at its exact cost under its *original* sequence number so
     /// tie-breaks match the unpruned run.
@@ -297,23 +255,12 @@ impl<'a, 'p, K: BagCost + Sync + ?Sized> ParallelRankedEnumerator<'a, 'p, K> {
                 best.cost >= entry.cost,
                 "deferred lower bound was not admissible"
             );
-            self.record_outcome(&constraints, best.cost);
             self.queue.push(Entry {
                 cost: best.cost,
                 sequence: entry.sequence,
                 state: EntryState::Solved(best),
                 constraints,
             });
-        }
-    }
-
-    /// Publishes a feasible subproblem's exact optimum to its orbit, when
-    /// sharing is on.
-    fn record_outcome(&mut self, constraints: &Constraints, cost: CostValue) {
-        if let SymmetryMode::Share(share) = &mut self.symmetry {
-            if let Some(key) = share.key_of(constraints) {
-                share.put(key, cost);
-            }
         }
     }
 
@@ -329,11 +276,9 @@ impl<'a, 'p, K: BagCost + Sync + ?Sized> ParallelRankedEnumerator<'a, 'p, K> {
             .collect();
         let bound_children = self.prune && self.incumbent.is_some();
         // Split the children — in generation order — into deferred ones
-        // (queued on their admissible lower bound alone), orbit-replayed
-        // ones (queued at a sibling orbit's exact cost), and eager ones,
+        // (queued on their admissible lower bound alone) and eager ones,
         // which are re-optimized as one pool batch.
         let mut deferred: Vec<(usize, CostValue, Constraints)> = Vec::new();
-        let mut known: Vec<(usize, CostValue, Constraints)> = Vec::new();
         let mut eager_positions: Vec<usize> = Vec::new();
         let mut eager_batch: Vec<Constraints> = Vec::new();
         // Modulo-symmetry: siblings in one stabilizer orbit spawn one
@@ -341,10 +286,10 @@ impl<'a, 'p, K: BagCost + Sync + ?Sized> ParallelRankedEnumerator<'a, 'p, K> {
         // early (see the sequential engine); the prefixes still range
         // over all earlier separators, dropped or not. Positions below
         // are plan positions, so ties break as in the sequential engine.
-        let plan = match &mut self.symmetry {
-            SymmetryMode::Modulo(dedup) => dedup.branch_plan(constraints, &new_seps),
-            _ => None,
-        };
+        let plan = self
+            .modulo
+            .as_mut()
+            .and_then(|dedup| dedup.branch_plan(constraints, &new_seps));
         let order: Vec<(usize, bool)> =
             plan.unwrap_or_else(|| (0..new_seps.len()).map(|i| (i, true)).collect());
         for pos in 0..order.len() {
@@ -367,13 +312,6 @@ impl<'a, 'p, K: BagCost + Sync + ?Sized> ParallelRankedEnumerator<'a, 'p, K> {
             match (lower_bound, self.incumbent) {
                 (Some(lb), Some(incumbent)) if lb > incumbent => deferred.push((i, lb, child)),
                 _ => {
-                    if let SymmetryMode::Share(share) = &mut self.symmetry {
-                        if let Some(cost) = share.key_of(&child).and_then(|k| share.get(&k)) {
-                            share.replays += 1;
-                            known.push((i, cost, child));
-                            continue;
-                        }
-                    }
                     eager_positions.push(i);
                     eager_batch.push(child);
                 }
@@ -381,7 +319,7 @@ impl<'a, 'p, K: BagCost + Sync + ?Sized> ParallelRankedEnumerator<'a, 'p, K> {
         }
         self.nodes_explored += eager_batch.len();
         let solved = self.solve_batch(eager_batch);
-        // Re-interleave solved, deferred and replayed children by generation
+        // Re-interleave solved and deferred children by generation
         // position before assigning sequence numbers, so ties break exactly
         // as in the sequential engine (and as in an unpruned run).
         let mut pending: Vec<(usize, Entry)> = Vec::with_capacity(new_seps.len());
@@ -393,17 +331,6 @@ impl<'a, 'p, K: BagCost + Sync + ?Sized> ParallelRankedEnumerator<'a, 'p, K> {
                     cost: lb,
                     sequence: 0,
                     state: EntryState::Deferred,
-                    constraints: child,
-                },
-            ));
-        }
-        for (i, cost, child) in known {
-            pending.push((
-                i,
-                Entry {
-                    cost,
-                    sequence: 0,
-                    state: EntryState::Known,
                     constraints: child,
                 },
             ));
@@ -425,10 +352,6 @@ impl<'a, 'p, K: BagCost + Sync + ?Sized> ParallelRankedEnumerator<'a, 'p, K> {
         for (_, mut entry) in pending {
             self.sequence += 1;
             entry.sequence = self.sequence;
-            if let EntryState::Solved(best) = &entry.state {
-                let cost = best.cost;
-                self.record_outcome(&entry.constraints, cost);
-            }
             self.queue.push(entry);
         }
     }
@@ -446,7 +369,6 @@ impl<K: BagCost + Sync + ?Sized> Iterator for ParallelRankedEnumerator<'_, '_, K
             self.nodes_explored += 1;
             let solved = self.solve_batch(vec![Constraints::none()]);
             if let Some((best, constraints)) = solved.into_iter().next().flatten() {
-                self.record_outcome(&constraints, best.cost);
                 self.sequence += 1;
                 self.queue.push(Entry {
                     cost: best.cost,
@@ -470,19 +392,15 @@ impl<K: BagCost + Sync + ?Sized> Iterator for ParallelRankedEnumerator<'_, '_, K
                     self.resolve_entry(entry);
                     continue;
                 }
-                EntryState::Known => {
-                    self.resolve_entry(entry);
-                    continue;
-                }
                 EntryState::Solved(best) => best,
             };
             let fill = best.fill_edges(self.pre.graph());
             // Modulo-symmetry: suppress orbit-duplicate results but still
             // expand their partition (mirrors the sequential engine).
-            let orbit_new = match &mut self.symmetry {
-                SymmetryMode::Modulo(dedup) => dedup.admit_result(&fill),
-                _ => true,
-            };
+            let orbit_new = self
+                .modulo
+                .as_mut()
+                .is_none_or(|dedup| dedup.admit_result(&fill));
             let is_new = self.emitted_fills.insert(fill);
             // Computed once: shared by the expansion and the emitted result.
             let seps_of_h = minimal_separators(&best.graph);
@@ -565,7 +483,7 @@ mod tests {
                 let sequential: Vec<_> = RankedEnumerator::new(&pre, &Width).collect();
                 let mut parallel_iter = ParallelRankedEnumerator::new(&pre, &Width, threads);
                 let parallel: Vec<_> = parallel_iter.by_ref().collect();
-                assert_eq!(parallel_iter.duplicates_skipped(), 0);
+                assert_eq!(parallel_iter.counters().duplicates_skipped, 0);
                 assert_eq!(sequential.len(), parallel.len(), "threads = {threads}");
                 // Cost sequences are identical; the exact tie order may vary,
                 // so compare the cost sequence and the result sets.
@@ -620,26 +538,8 @@ mod tests {
             ParallelRankedEnumerator::new(&pre, &FillIn, 4).with_pruning(Some(CostValue::ZERO));
         let pruned: Vec<_> = pruned_iter.by_ref().take(3).collect();
         assert_eq!(fill_keys(&g, &sequential), fill_keys(&g, &pruned));
-        assert!(pruned_iter.nodes_pruned() > 0);
-        assert_eq!(pruned_iter.incumbent(), Some(pruned[2].cost));
-    }
-
-    #[test]
-    fn orbit_sharing_parallel_matches_plain() {
-        let g = Graph::from_edges(6, &[(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0)]);
-        let pre = Preprocessed::new(&g);
-        let ctx = OrbitContext::probe(&g).expect("C6 is symmetric");
-        for threads in [1, 4] {
-            let plain: Vec<_> = ParallelRankedEnumerator::new(&pre, &FillIn, threads).collect();
-            let shared: Vec<_> = ParallelRankedEnumerator::new(&pre, &FillIn, threads)
-                .with_orbit_sharing(ctx.clone())
-                .collect();
-            assert_eq!(plain.len(), shared.len(), "threads = {threads}");
-            let plain_costs: Vec<_> = plain.iter().map(|r| r.cost).collect();
-            let shared_costs: Vec<_> = shared.iter().map(|r| r.cost).collect();
-            assert_eq!(plain_costs, shared_costs);
-            assert_eq!(fill_keys(&g, &plain), fill_keys(&g, &shared));
-        }
+        assert!(pruned_iter.counters().nodes_pruned > 0);
+        assert_eq!(pruned_iter.counters().incumbent, Some(pruned[2].cost));
     }
 
     #[test]
@@ -656,7 +556,7 @@ mod tests {
                 .with_modulo_symmetry(ctx.clone());
             let parallel: Vec<_> = it.by_ref().collect();
             assert_eq!(parallel.len(), 3, "threads = {threads}");
-            assert!(it.orbits_merged() > 0);
+            assert!(it.counters().orbits_merged > 0);
             let seq_costs: Vec<_> = sequential.iter().map(|r| r.cost).collect();
             let par_costs: Vec<_> = parallel.iter().map(|r| r.cost).collect();
             assert_eq!(seq_costs, par_costs);

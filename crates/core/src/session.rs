@@ -44,17 +44,14 @@ use crate::mintriang::Preprocessed;
 use crate::parallel::ParallelRankedEnumerator;
 use crate::pool::{self, resolve_threads};
 use crate::properdec::RankedDecomposition;
-use crate::ranked::{RankedEnumerator, RankedTriangulation};
+use crate::ranked::{EngineCounters, RankedEnumerator, RankedTriangulation};
 use crate::symmetry::{OrbitContext, SymmetryPolicy};
 use mtr_chordal::{
     clique_trees_from_cliques, lb_triang_min_degree, maximal_cliques_chordal, mcs_m,
 };
 use mtr_graph::io::ParseError;
 use mtr_graph::Graph;
-use mtr_pmc::enumerate::{
-    potential_maximal_cliques, potential_maximal_cliques_bounded,
-    potential_maximal_cliques_bounded_with_deadline, potential_maximal_cliques_with_deadline,
-};
+use mtr_pmc::enumerate::potential_maximal_cliques_within;
 use std::ops::ControlFlow;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
@@ -65,7 +62,6 @@ use std::time::{Duration, Instant};
 struct SessionMetrics {
     sessions: mtr_obs::Counter,
     results: mtr_obs::Counter,
-    orbit_replays: mtr_obs::Counter,
     nodes_pruned: mtr_obs::Counter,
     preprocess_ns: mtr_obs::Histogram,
     advance_ns: mtr_obs::Histogram,
@@ -77,7 +73,6 @@ fn session_metrics() -> &'static SessionMetrics {
     METRICS.get_or_init(|| SessionMetrics {
         sessions: mtr_obs::counter("core.session.sessions"),
         results: mtr_obs::counter("core.session.results"),
-        orbit_replays: mtr_obs::counter("core.session.orbit_replays"),
         nodes_pruned: mtr_obs::counter("core.session.nodes_pruned"),
         preprocess_ns: mtr_obs::histogram("core.session.preprocess_ns"),
         advance_ns: mtr_obs::histogram("core.session.advance_ns"),
@@ -402,16 +397,14 @@ pub struct EnumerationStats {
     pub arena_bytes_reused: usize,
     /// Order of the *discovered* automorphism group of the input graph
     /// (a subgroup of the full group when the canonical search truncated).
-    /// `1` when the group is trivial or the probe was skipped
-    /// ([`SymmetryPolicy::Off`], label-dependent cost); `0` when the
-    /// session never reached the probe (aborted preprocessing).
+    /// The group is only probed under [`SymmetryPolicy::ModuloSymmetry`]
+    /// with a label-invariant cost: `1` when the group is trivial or the
+    /// probe was skipped; `0` when the session never reached the probe
+    /// (aborted preprocessing).
     pub symmetry_group_order: u128,
     /// Branches dropped and results suppressed as orbit duplicates in
     /// [`SymmetryPolicy::ModuloSymmetry`] mode. Zero otherwise.
     pub orbits_merged: usize,
-    /// Constrained re-optimizations enqueued at an orbit-mate's exact cost
-    /// instead of being re-run (full mode with a non-trivial group).
-    pub subproblems_replayed: usize,
 }
 
 impl EnumerationStats {
@@ -458,8 +451,7 @@ impl EnumerationStats {
                 "\"arena_bytes_reused\": {}, ",
                 "\"average_delay_secs\": {}, \"max_delay_secs\": {}, ",
                 "\"delays_ms\": [{}], ",
-                "\"symmetry\": {{\"group_order\": {}, \"orbits_merged\": {}, ",
-                "\"subproblems_replayed\": {}}}}}"
+                "\"symmetry\": {{\"group_order\": {}, \"orbits_merged\": {}}}}}"
             ),
             self.cost,
             stop_reason,
@@ -492,7 +484,6 @@ impl EnumerationStats {
             delays.join(", "),
             self.symmetry_group_order,
             self.orbits_merged,
-            self.subproblems_replayed,
         )
     }
 }
@@ -831,17 +822,14 @@ impl<'a, K: BagCost + Sync + ?Sized> Enumerate<'a, K> {
     }
 
     /// Symmetry policy (see [`SymmetryPolicy`]). The default,
-    /// [`SymmetryPolicy::Full`], probes the automorphism group once per
-    /// session (for label-invariant costs) and shares exact costs across
-    /// orbit-equivalent subproblems — the emitted stream is unchanged, bit
-    /// for bit. [`SymmetryPolicy::ModuloSymmetry`] quotients the stream to
-    /// one cheapest representative per orbit of minimal triangulations
-    /// (`mtr --modulo-symmetry`); [`SymmetryPolicy::Off`] skips the probe
-    /// entirely.
+    /// [`SymmetryPolicy::Off`], never probes the automorphism group.
+    /// [`SymmetryPolicy::ModuloSymmetry`] probes it once per session (for
+    /// label-invariant costs) and quotients the stream to one cheapest
+    /// representative per orbit of minimal triangulations
+    /// (`mtr --modulo-symmetry`).
     ///
-    /// [`EnumerationStats::symmetry_group_order`],
-    /// [`EnumerationStats::subproblems_replayed`] and
-    /// [`EnumerationStats::orbits_merged`] report what the machinery did.
+    /// [`EnumerationStats::symmetry_group_order`] and
+    /// [`EnumerationStats::orbits_merged`] report what the quotient did.
     pub fn symmetry(mut self, policy: SymmetryPolicy) -> Self {
         self.symmetry = policy;
         self
@@ -1006,68 +994,32 @@ impl<'a, K: BagCost + Sync + ?Sized> Enumerate<'a, K> {
                 p
             }
             Source::Graph(g) => {
-                let aborted_init = |started: &Instant| {
+                // The PMC enumeration is inherently incremental (prefix by
+                // prefix); the candidate-structure build behind
+                // `from_parts_threaded` fans out over the pool workers.
+                let max_size = width_bound.map(|b| b + 1);
+                let Ok(e) = potential_maximal_cliques_within(g, max_size, deadline) else {
                     let elapsed = started.elapsed();
                     let stats = EnumerationStats {
-                        cost: cost_name.clone(),
+                        cost: cost_name,
                         preprocessing: elapsed,
                         preprocessing_complete: false,
                         total: elapsed,
                         effective_threads: threads,
                         ..EnumerationStats::default()
                     };
-                    SessionReport {
+                    return Ok(SessionReport {
                         stats,
                         stop_reason: StopReason::DeadlineExceeded,
-                    }
+                    });
                 };
-                // The PMC enumeration is inherently incremental (prefix by
-                // prefix); the candidate-structure build behind
-                // `from_parts_threaded` fans out over the pool workers.
-                owned_pre = match (width_bound, deadline) {
-                    (Some(b), Some(d)) => {
-                        match potential_maximal_cliques_bounded_with_deadline(g, b + 1, d) {
-                            Ok(e) => Preprocessed::from_parts_threaded(
-                                g,
-                                e.minimal_separators,
-                                e.pmcs,
-                                Some(b),
-                                threads,
-                            ),
-                            Err(_) => return Ok(aborted_init(&started)),
-                        }
-                    }
-                    (Some(b), None) => {
-                        let e = potential_maximal_cliques_bounded(g, b + 1);
-                        Preprocessed::from_parts_threaded(
-                            g,
-                            e.minimal_separators,
-                            e.pmcs,
-                            Some(b),
-                            threads,
-                        )
-                    }
-                    (None, Some(d)) => match potential_maximal_cliques_with_deadline(g, d) {
-                        Ok(e) => Preprocessed::from_parts_threaded(
-                            g,
-                            e.minimal_separators,
-                            e.pmcs,
-                            None,
-                            threads,
-                        ),
-                        Err(_) => return Ok(aborted_init(&started)),
-                    },
-                    (None, None) => {
-                        let e = potential_maximal_cliques(g);
-                        Preprocessed::from_parts_threaded(
-                            g,
-                            e.minimal_separators,
-                            e.pmcs,
-                            None,
-                            threads,
-                        )
-                    }
-                };
+                owned_pre = Preprocessed::from_parts_threaded(
+                    g,
+                    e.minimal_separators,
+                    e.pmcs,
+                    width_bound,
+                    threads,
+                );
                 &owned_pre
             }
         };
@@ -1082,11 +1034,12 @@ impl<'a, K: BagCost + Sync + ?Sized> Enumerate<'a, K> {
             PruningPolicy::Incumbent => heuristic_incumbent(pre.graph(), cost_ref, width_bound),
             PruningPolicy::Off => None,
         };
-        // Probe the automorphism group once per session. Skipped entirely
-        // for SymmetryPolicy::Off and for label-dependent costs (where an
-        // automorphism need not preserve the ranking); a trivial group
-        // probes to `None` and the engines run exactly as before.
-        let orbit_ctx = if symmetry != SymmetryPolicy::Off && cost_ref.label_invariant() {
+        // Probe the automorphism group once per modulo session. Skipped for
+        // label-dependent costs (where an automorphism need not preserve the
+        // ranking); a trivial group probes to `None` and the engines run
+        // exactly as without the quotient.
+        let orbit_ctx = if symmetry == SymmetryPolicy::ModuloSymmetry && cost_ref.label_invariant()
+        {
             OrbitContext::probe(pre.graph())
         } else {
             None
@@ -1119,10 +1072,7 @@ impl<'a, K: BagCost + Sync + ?Sized> Enumerate<'a, K> {
                     inner = inner.with_cancel(flag);
                 }
                 if let Some(ctx) = &orbit_ctx {
-                    inner = match symmetry {
-                        SymmetryPolicy::ModuloSymmetry => inner.with_modulo_symmetry(ctx.clone()),
-                        _ => inner.with_orbit_sharing(ctx.clone()),
-                    };
+                    inner = inner.with_modulo_symmetry(ctx.clone());
                 }
                 let mut engine: Engine<'_, '_, K> = Engine::Parallel(inner);
                 let stop_reason = drive_engine(
@@ -1153,10 +1103,7 @@ impl<'a, K: BagCost + Sync + ?Sized> Enumerate<'a, K> {
                 inner = inner.with_cancel(flag);
             }
             if let Some(ctx) = &orbit_ctx {
-                inner = match symmetry {
-                    SymmetryPolicy::ModuloSymmetry => inner.with_modulo_symmetry(ctx.clone()),
-                    _ => inner.with_orbit_sharing(ctx.clone()),
-                };
+                inner = inner.with_modulo_symmetry(ctx.clone());
             }
             let mut engine: Engine<'_, '_, K> = Engine::Sequential(inner);
             let stop_reason = drive_engine(
@@ -1190,38 +1137,9 @@ impl<'a, K: BagCost + Sync + ?Sized> Enumerate<'a, K> {
 pub trait SessionEngine {
     /// Produces the next ranked result, or `None` when exhausted.
     fn next_result(&mut self) -> Option<RankedTriangulation>;
-    /// Entries currently pending in the engine's priority queue.
-    fn queue_depth(&self) -> usize;
-    /// Work units (Lawler–Murty partitions) explored so far — the quantity
+    /// The engine's work counters so far. `nodes_explored` is the quantity
     /// [`Enumerate::node_budget`] is checked against.
-    fn nodes_explored(&self) -> usize;
-    /// Duplicate results skipped (`0` for engines that cannot emit them).
-    fn duplicates_skipped(&self) -> usize;
-    /// Re-optimizations deferred by incumbent pruning and never paid for
-    /// (`0` for engines without pruning).
-    fn nodes_pruned(&self) -> usize {
-        0
-    }
-    /// The engine's current incumbent cost bound, if pruning is active.
-    fn incumbent_cost(&self) -> Option<CostValue> {
-        None
-    }
-    /// Bytes of `VertexSet` scratch the engine served from its own arena
-    /// (engines whose scratch lives in a worker pool report `0` here; the
-    /// session adds the pool's figure).
-    fn arena_bytes_reused(&self) -> usize {
-        0
-    }
-    /// Re-optimizations the engine replayed from an orbit-mate's exact
-    /// cost (`0` for engines without orbit sharing).
-    fn orbit_replays(&self) -> usize {
-        0
-    }
-    /// Branches/results the engine merged into their orbit representative
-    /// (`0` for engines without modulo-symmetry).
-    fn orbits_merged(&self) -> usize {
-        0
-    }
+    fn counters(&self) -> EngineCounters;
     /// The message of a contained worker-pool task failure that aborted
     /// the engine, if one did. An engine that failed returns `None` from
     /// [`SessionEngine::next_result`] (the emitted prefix stays valid);
@@ -1275,7 +1193,7 @@ where
         if deadline_at.is_some_and(|at| Instant::now() >= at) {
             break StopReason::DeadlineExceeded;
         }
-        if node_budget.is_some_and(|n| engine.nodes_explored() >= n) {
+        if node_budget.is_some_and(|n| engine.counters().nodes_explored >= n) {
             break StopReason::NodeBudgetExhausted;
         }
         let advance_started = mtr_obs::clock();
@@ -1290,7 +1208,7 @@ where
                 StopReason::Exhausted
             };
         };
-        stats.max_queue_depth = stats.max_queue_depth.max(engine.queue_depth());
+        stats.max_queue_depth = stats.max_queue_depth.max(engine.counters().queue_depth);
         if let Some(f) = filter.as_mut() {
             if !f.admit(&result) {
                 stats.diversity_rejected += 1;
@@ -1309,18 +1227,17 @@ where
         }
     };
 
-    stats.final_queue_depth = engine.queue_depth();
-    stats.nodes_explored = engine.nodes_explored();
-    stats.duplicates_skipped = engine.duplicates_skipped();
-    stats.nodes_pruned = engine.nodes_pruned();
-    stats.incumbent_cost = engine
-        .incumbent_cost()
+    let counters = engine.counters();
+    stats.final_queue_depth = counters.queue_depth;
+    stats.nodes_explored = counters.nodes_explored;
+    stats.duplicates_skipped = counters.duplicates_skipped;
+    stats.nodes_pruned = counters.nodes_pruned;
+    stats.incumbent_cost = counters
+        .incumbent
         .filter(|c| c.is_finite())
         .map(|c| c.value());
-    stats.arena_bytes_reused = engine.arena_bytes_reused();
-    stats.subproblems_replayed = engine.orbit_replays();
-    stats.orbits_merged = engine.orbits_merged();
-    metrics.orbit_replays.add(stats.subproblems_replayed as u64);
+    stats.arena_bytes_reused = counters.arena_bytes_reused;
+    stats.orbits_merged = counters.orbits_merged;
     metrics.nodes_pruned.add(stats.nodes_pruned as u64);
     stats.total = started.elapsed();
     if emit_span.is_active() {
@@ -1346,60 +1263,10 @@ impl<K: BagCost + Sync + ?Sized> SessionEngine for Engine<'_, '_, K> {
         }
     }
 
-    fn queue_depth(&self) -> usize {
+    fn counters(&self) -> EngineCounters {
         match self {
-            Engine::Sequential(e) => e.queue_depth(),
-            Engine::Parallel(e) => e.queue_depth(),
-        }
-    }
-
-    fn nodes_explored(&self) -> usize {
-        match self {
-            Engine::Sequential(e) => e.nodes_explored(),
-            Engine::Parallel(e) => e.nodes_explored(),
-        }
-    }
-
-    fn duplicates_skipped(&self) -> usize {
-        match self {
-            Engine::Sequential(e) => e.duplicates_skipped(),
-            Engine::Parallel(e) => e.duplicates_skipped(),
-        }
-    }
-
-    fn nodes_pruned(&self) -> usize {
-        match self {
-            Engine::Sequential(e) => e.nodes_pruned(),
-            Engine::Parallel(e) => e.nodes_pruned(),
-        }
-    }
-
-    fn incumbent_cost(&self) -> Option<CostValue> {
-        match self {
-            Engine::Sequential(e) => e.incumbent(),
-            Engine::Parallel(e) => e.incumbent(),
-        }
-    }
-
-    fn arena_bytes_reused(&self) -> usize {
-        match self {
-            Engine::Sequential(e) => e.arena_bytes_reused(),
-            // Reported by the worker pool (see the session's parallel path).
-            Engine::Parallel(_) => 0,
-        }
-    }
-
-    fn orbit_replays(&self) -> usize {
-        match self {
-            Engine::Sequential(e) => e.orbit_replays(),
-            Engine::Parallel(e) => e.orbit_replays(),
-        }
-    }
-
-    fn orbits_merged(&self) -> usize {
-        match self {
-            Engine::Sequential(e) => e.orbits_merged(),
-            Engine::Parallel(e) => e.orbits_merged(),
+            Engine::Sequential(e) => e.counters(),
+            Engine::Parallel(e) => e.counters(),
         }
     }
 

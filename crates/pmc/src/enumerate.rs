@@ -58,7 +58,7 @@ pub struct PmcEnumeration {
 /// Enumerates all potential maximal cliques of `g`, along with its minimal
 /// separators.
 pub fn potential_maximal_cliques(g: &Graph) -> PmcEnumeration {
-    potential_maximal_cliques_impl(g, None, None).expect("no deadline was set")
+    potential_maximal_cliques_within(g, None, None).expect("no deadline was set")
 }
 
 /// Enumerates all potential maximal cliques of `g`, aborting with an error
@@ -69,7 +69,7 @@ pub fn potential_maximal_cliques_with_deadline(
     g: &Graph,
     budget: Duration,
 ) -> Result<PmcEnumeration, PmcDeadlineExceeded> {
-    potential_maximal_cliques_impl(g, None, Some(budget))
+    potential_maximal_cliques_within(g, None, Some(budget))
 }
 
 /// Enumerates the potential maximal cliques of `g` of size at most
@@ -81,22 +81,16 @@ pub fn potential_maximal_cliques_with_deadline(
 /// `max_size = b + 1` bounds the work independently of the poly-MS
 /// assumption.
 pub fn potential_maximal_cliques_bounded(g: &Graph, max_size: usize) -> PmcEnumeration {
-    potential_maximal_cliques_impl(g, Some(max_size), None).expect("no deadline was set")
+    potential_maximal_cliques_within(g, Some(max_size), None).expect("no deadline was set")
 }
 
-/// The size-bounded enumeration of [`potential_maximal_cliques_bounded`]
-/// under the wall-clock budget of
-/// [`potential_maximal_cliques_with_deadline`] — the combination a
-/// deadline-budgeted width-bounded enumeration session needs.
-pub fn potential_maximal_cliques_bounded_with_deadline(
-    g: &Graph,
-    max_size: usize,
-    budget: Duration,
-) -> Result<PmcEnumeration, PmcDeadlineExceeded> {
-    potential_maximal_cliques_impl(g, Some(max_size), Some(budget))
-}
-
-fn potential_maximal_cliques_impl(
+/// The general form behind the other entry points: the PMCs of size at
+/// most `max_size` (as in [`potential_maximal_cliques_bounded`]; all of
+/// them when `None`), aborting once the wall-clock `budget` runs out (as in
+/// [`potential_maximal_cliques_with_deadline`]; never when `None`).
+/// Enumeration sessions pass their optional bound and deadline straight
+/// through.
+pub fn potential_maximal_cliques_within(
     g: &Graph,
     max_size: Option<usize>,
     budget: Option<Duration>,

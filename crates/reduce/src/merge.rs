@@ -48,7 +48,7 @@ use mtr_chordal::{maximal_cliques_chordal, minimal_separators_from_cliques};
 use mtr_core::cost::{AtomCombine, BagCost, CostValue};
 use mtr_core::pool::{Scratch, WorkerPool};
 use mtr_core::{
-    heuristic_incumbent, CancelFlag, OrbitContext, Preprocessed, RankedState, RankedTriangulation,
+    heuristic_incumbent, CancelFlag, EngineCounters, Preprocessed, RankedState, RankedTriangulation,
 };
 use mtr_graph::{Graph, Vertex};
 use std::cmp::Ordering;
@@ -121,7 +121,7 @@ pub(crate) struct AtomStream {
     engine: AtomEngine,
     cached: Vec<CachedResult>,
     exhausted: bool,
-    /// `state.nodes_explored()` snapshot right after result `r` was
+    /// `state.counters().nodes_explored` snapshot right after result `r` was
     /// produced — a deterministic function of `r`, independent of how far
     /// ahead speculation pulled. Seeded entries start at zero (they cost
     /// nothing) and are upgraded to real counts if a replay recomputes
@@ -141,13 +141,6 @@ pub(crate) struct AtomStream {
     /// (exact — the emitted stream is identical either way). Set before the
     /// first pull; a lazily materialized engine picks it up too.
     prune: bool,
-    /// Orbit-canonical sharing of constrained re-optimizations inside this
-    /// stream's own search (exact — the emitted stream is identical either
-    /// way). The automorphism probe runs against the *stream* graph, so
-    /// isomorphic-atom grouping and per-atom symmetry compose. Same arming
-    /// discipline as `prune`: set before the first pull, re-armed when a
-    /// lazy engine materializes.
-    share_orbits: bool,
     /// Cooperative cancellation: when raised, [`AtomStream::ensure`] bails
     /// out *without* marking the stream exhausted, so a partial prefix is
     /// still publishable (as incomplete) and never poisons the store.
@@ -217,7 +210,6 @@ impl AtomStream {
             was_complete: false,
             key,
             prune: false,
-            share_orbits: false,
             cancel: None,
         }
     }
@@ -243,41 +235,12 @@ impl AtomStream {
         }
     }
 
-    /// Enables orbit-canonical subproblem sharing on this stream's own
-    /// enumeration when the stream graph has a nontrivial automorphism
-    /// group. Call before the first pull; seeded (lazy) streams arm their
-    /// engine when (and if) demand materializes it.
-    pub(crate) fn enable_orbit_sharing(&mut self) {
-        self.share_orbits = true;
-        if let AtomEngine::Ranked { pre, state, .. } = &mut self.engine {
-            if let Some(ctx) = OrbitContext::probe(pre.graph()) {
-                state.enable_orbit_sharing(ctx);
-            }
-        }
-    }
-
-    /// Re-optimizations the stream's own pruning deferred and never paid.
-    fn nodes_pruned(&self) -> usize {
+    /// The counters of the stream's own enumeration (all zero for trivial
+    /// and not yet materialized streams).
+    fn state_counters(&self) -> EngineCounters {
         match &self.engine {
-            AtomEngine::Ranked { state, .. } => state.nodes_pruned(),
-            _ => 0,
-        }
-    }
-
-    /// Constrained re-optimizations this stream served from an
-    /// orbit-equivalent sibling instead of running the DP.
-    fn orbit_replays(&self) -> usize {
-        match &self.engine {
-            AtomEngine::Ranked { state, .. } => state.orbit_replays(),
-            _ => 0,
-        }
-    }
-
-    /// Scratch bytes the stream's enumeration served from its arena.
-    fn arena_bytes_reused(&self) -> usize {
-        match &self.engine {
-            AtomEngine::Ranked { state, .. } => state.arena_bytes_reused(),
-            _ => 0,
+            AtomEngine::Ranked { state, .. } => state.counters(),
+            _ => EngineCounters::default(),
         }
     }
 
@@ -295,7 +258,7 @@ impl AtomStream {
                     // exploration (including the exhausting pull) was
                     // demanded — and its total is the same whether it was
                     // reached lazily or speculatively.
-                    state.nodes_explored()
+                    state.counters().nodes_explored
                 } else {
                     match self.demanded.min(self.cached.len()) {
                         0 => 0,
@@ -414,11 +377,6 @@ impl AtomStream {
                 if self.prune {
                     state.enable_pruning(heuristic_incumbent(pre.graph(), cost, width_bound));
                 }
-                if self.share_orbits {
-                    if let Some(ctx) = OrbitContext::probe(pre.graph()) {
-                        state.enable_orbit_sharing(ctx);
-                    }
-                }
                 self.engine = AtomEngine::Ranked {
                     pre: Box::new(pre),
                     state: Box::new(state),
@@ -457,14 +415,14 @@ impl AtomStream {
                                 self.cached[idx].cost, result.cost,
                                 "cached prefix diverges from the enumeration"
                             );
-                            self.nodes_after[idx] = state.nodes_explored();
+                            self.nodes_after[idx] = state.counters().nodes_explored;
                         } else {
                             let fill = pre.graph().fill_edges_of(&result.triangulation);
                             self.cached.push(CachedResult {
                                 cost: result.cost,
                                 fill,
                             });
-                            self.nodes_after.push(state.nodes_explored());
+                            self.nodes_after.push(state.counters().nodes_explored);
                         }
                     }
                     None => {
@@ -623,55 +581,10 @@ impl<'a, 'p, K: BagCost + Sync + ?Sized> FactorizedEnumerator<'a, 'p, K> {
         self.incumbent = incumbent;
     }
 
-    /// Deferred work never paid for: heap tuples still unpriced plus the
-    /// per-atom streams' own deferred re-optimizations.
-    pub(crate) fn nodes_pruned(&self) -> usize {
-        self.nodes_deferred
-            + (0..self.streams.len())
-                .map(|g| self.stream(g).nodes_pruned())
-                .sum::<usize>()
-    }
-
-    /// The current global incumbent bound, if pruning is active.
-    pub(crate) fn incumbent(&self) -> Option<CostValue> {
-        self.incumbent
-    }
-
-    /// Constrained re-optimizations the per-atom streams served from
-    /// orbit-equivalent siblings instead of running the DP.
-    pub(crate) fn orbit_replays(&self) -> usize {
-        (0..self.streams.len())
-            .map(|g| self.stream(g).orbit_replays())
-            .sum()
-    }
-
-    /// Scratch bytes served from the per-stream enumeration arenas.
-    pub(crate) fn arena_bytes_reused(&self) -> usize {
-        (0..self.streams.len())
-            .map(|g| self.stream(g).arena_bytes_reused())
-            .sum()
-    }
-
     fn stream(&self, group: usize) -> &AtomStream {
         self.streams[group]
             .as_ref()
             .expect("stream present outside batch")
-    }
-
-    pub(crate) fn queue_depth(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// Lawler–Murty partitions explored across all streams, counting
-    /// only *demanded* work (see [`AtomStream::nodes_explored`]): node
-    /// budgets therefore stop at the same result sequentially, in
-    /// parallel, and on any host, regardless of speculative prefetch.
-    /// (With the cache active, served entries count zero — warm sessions
-    /// genuinely explore less.)
-    pub(crate) fn nodes_explored(&self) -> usize {
-        (0..self.streams.len())
-            .map(|g| self.stream(g).nodes_explored())
-            .sum()
     }
 
     /// `(minimal separators, PMCs, full blocks)` summed over the per-group
@@ -946,34 +859,31 @@ impl<K: BagCost + Sync + ?Sized> mtr_core::SessionEngine for FactorizedEnumerato
         self.next()
     }
 
-    fn queue_depth(&self) -> usize {
-        self.queue_depth()
-    }
-
-    fn nodes_explored(&self) -> usize {
-        self.nodes_explored()
-    }
-
-    fn duplicates_skipped(&self) -> usize {
-        // Distinct tuples materialize distinct fill unions (per-atom fill
-        // sets are disjoint), and the `seen` set keeps tuples unique.
-        0
-    }
-
-    fn nodes_pruned(&self) -> usize {
-        self.nodes_pruned()
-    }
-
-    fn orbit_replays(&self) -> usize {
-        self.orbit_replays()
-    }
-
-    fn incumbent_cost(&self) -> Option<CostValue> {
-        self.incumbent()
-    }
-
-    fn arena_bytes_reused(&self) -> usize {
-        self.arena_bytes_reused()
+    /// The merge's counters. `nodes_explored` sums the streams' *demanded*
+    /// work only (see [`AtomStream::nodes_explored`]): node budgets therefore
+    /// stop at the same result sequentially, in parallel, and on any host,
+    /// regardless of speculative prefetch. (With the cache active, served
+    /// entries count zero — warm sessions genuinely explore less.)
+    /// `nodes_pruned` counts the heap tuples still unpriced plus the
+    /// streams' own deferred re-optimizations. `duplicates_skipped` is
+    /// always zero: distinct tuples materialize distinct fill unions
+    /// (per-atom fill sets are disjoint), and the `seen` set keeps tuples
+    /// unique.
+    fn counters(&self) -> EngineCounters {
+        let mut counters = EngineCounters {
+            queue_depth: self.heap.len(),
+            nodes_pruned: self.nodes_deferred,
+            incumbent: self.incumbent,
+            ..EngineCounters::default()
+        };
+        for g in 0..self.streams.len() {
+            let stream = self.stream(g);
+            let own = stream.state_counters();
+            counters.nodes_explored += stream.nodes_explored();
+            counters.nodes_pruned += own.nodes_pruned;
+            counters.arena_bytes_reused += own.arena_bytes_reused;
+        }
+        counters
     }
 
     fn failure(&self) -> Option<String> {

@@ -85,9 +85,7 @@ use mtr_core::session::{
 };
 use mtr_core::symmetry::SymmetryPolicy;
 use mtr_graph::Graph;
-use mtr_pmc::enumerate::{
-    potential_maximal_cliques_bounded_with_deadline, potential_maximal_cliques_with_deadline,
-};
+use mtr_pmc::enumerate::potential_maximal_cliques_within;
 use std::ops::ControlFlow;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -175,9 +173,7 @@ impl<'a, K: BagCost + Sync + ?Sized> Reduced<'a, K> {
     }
 
     /// Symmetry policy (mirrors [`Enumerate::symmetry`], so the knob can
-    /// be chained after `.reduce(..)` too). `Full` arms orbit-canonical
-    /// subproblem sharing inside every per-atom stream (probing each
-    /// stream graph's own automorphisms); `ModuloSymmetry` falls back to
+    /// be chained after `.reduce(..)` too). `ModuloSymmetry` falls back to
     /// the direct engine, because a whole-graph automorphism may permute
     /// atoms — a quotient the per-atom product stream cannot see.
     pub fn symmetry(mut self, policy: SymmetryPolicy) -> Self {
@@ -412,9 +408,8 @@ impl StatsContext {
             atom_cache_misses: self.cache_misses,
             atoms_deduped: self.atoms_deduped,
             cache_bytes: self.cache_bytes(),
-            // No whole-graph probe on the factorized path: symmetry lives
-            // per atom here, so the session-level group order reads as
-            // trivial (the per-stream probes feed `subproblems_replayed`).
+            // The factorized path never runs a modulo session (it falls
+            // back to the direct engine), so no group is ever probed here.
             symmetry_group_order: 1,
             ..EnumerationStats::default()
         }
@@ -441,20 +436,10 @@ fn build_stream(
         },
         None => None,
     };
-    let pre = match (width_bound, remaining) {
-        (Some(b), Some(d)) => {
-            match potential_maximal_cliques_bounded_with_deadline(graph, b + 1, d) {
-                Ok(e) => Preprocessed::from_parts_bounded(graph, e.minimal_separators, e.pmcs, b),
-                Err(_) => return Err(AtomInitAborted),
-            }
-        }
-        (Some(b), None) => Preprocessed::new_bounded(graph, b),
-        (None, Some(d)) => match potential_maximal_cliques_with_deadline(graph, d) {
-            Ok(e) => Preprocessed::from_parts(graph, e.minimal_separators, e.pmcs),
-            Err(_) => return Err(AtomInitAborted),
-        },
-        (None, None) => Preprocessed::new(graph),
-    };
+    let e = potential_maximal_cliques_within(graph, width_bound.map(|b| b + 1), remaining)
+        .map_err(|_| AtomInitAborted)?;
+    let pre =
+        Preprocessed::from_parts_threaded(graph, e.minimal_separators, e.pmcs, width_bound, 1);
     Ok(AtomStream::cold(pre, key))
 }
 
@@ -556,16 +541,6 @@ where
     if prune {
         for stream in &mut streams {
             stream.enable_pruning(config.cost(), width_bound);
-        }
-    }
-
-    // Per-atom symmetry: each stream graph gets its own automorphism probe
-    // (an atom often keeps local symmetry even when the whole graph has
-    // none). Exact — the merged stream is identical either way — and only
-    // sound for label-invariant costs, same gate as the direct engine.
-    if config.symmetry != SymmetryPolicy::Off && config.cost().label_invariant() {
-        for stream in &mut streams {
-            stream.enable_orbit_sharing();
         }
     }
 

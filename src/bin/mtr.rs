@@ -116,7 +116,7 @@ fn usage() -> &'static str {
      \x20          [--top <k>] [--width-bound <b>] [--threads <t>] [--diverse <threshold>]\n\
      \x20          [--deadline <secs>] [--node-budget <n>] [--reduce off|components|full]\n\
      \x20          [--cache] [--cache-dir <directory>] [--no-prune]\n\
-     \x20          [--modulo-symmetry] [--no-symmetry]\n\
+     \x20          [--modulo-symmetry]\n\
      \x20          [--stats-json] [--emit-td <directory>] [--bounds] [--trace-json <path>]\n\
      \x20          [--fault <spec>]\n\
      \x20      mtr atoms <graph-file|-> [--format pace|dimacs|edges] [--reduce components|full]\n\
@@ -136,8 +136,7 @@ fn usage() -> &'static str {
      \x20      --no-prune disables incumbent-bounded branch pruning (on by default;\n\
      \x20      pruning never changes the results, only the work performed)\n\
      \x20      --modulo-symmetry emits one representative per automorphism orbit of\n\
-     \x20      minimal triangulations (for label-invariant costs); --no-symmetry also\n\
-     \x20      disables the exact orbit-sharing of subproblems that is on by default\n\
+     \x20      minimal triangulations (for label-invariant costs; off by default)\n\
      \x20      --trace-json records every span and event as JSONL (see docs/OBSERVABILITY.md);\n\
      \x20      --slow-ms logs requests whose first result took longer than the threshold;\n\
      \x20      --max-session-ms cancels any served session running past the cap;\n\
@@ -146,6 +145,11 @@ fn usage() -> &'static str {
      \x20      client --retries reissues a failed request (exponential --backoff-ms,\n\
      \x20      only when zero results were received) — safe against transient faults;\n\
      \x20      client --metrics prints the daemon's live introspection snapshot"
+}
+
+/// Parses a strictly positive integer flag value.
+fn positive<T: std::str::FromStr + PartialOrd + From<u8>>(value: String) -> Option<T> {
+    value.parse().ok().filter(|n| *n >= T::from(1))
 }
 
 fn parse_args(args: &[String]) -> Result<Options, String> {
@@ -200,9 +204,8 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
             "--format" => opts.format = Some(value("--format")?),
             "--cost" => opts.cost = value("--cost")?,
             "--top" => {
-                opts.top = value("--top")?
-                    .parse()
-                    .map_err(|_| "--top expects a positive integer".to_string())?
+                opts.top = positive(value("--top")?)
+                    .ok_or_else(|| "--top expects a positive integer".to_string())?
             }
             "--width-bound" => {
                 opts.width_bound = Some(
@@ -236,9 +239,8 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
             }
             "--node-budget" => {
                 opts.node_budget = Some(
-                    value("--node-budget")?
-                        .parse()
-                        .map_err(|_| "--node-budget expects a positive integer".to_string())?,
+                    positive(value("--node-budget")?)
+                        .ok_or_else(|| "--node-budget expects a positive integer".to_string())?,
                 )
             }
             "--reduce" => opts.reduce = value("--reduce")?.parse()?,
@@ -249,7 +251,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
             }
             "--no-prune" => opts.no_prune = true,
             "--modulo-symmetry" => opts.symmetry = SymmetryPolicy::ModuloSymmetry,
-            "--no-symmetry" => opts.symmetry = SymmetryPolicy::Off,
             "--stats-json" => opts.stats_json = true,
             "--emit-td" => opts.emit_td = Some(PathBuf::from(value("--emit-td")?)),
             "--bounds" => opts.bounds = true,
@@ -647,17 +648,11 @@ fn run_inner(opts: &Options) -> Result<(), CliError> {
                 .map_or_else(|| "none".into(), |c| format!("{c}"))
         );
     }
-    if stats.symmetry_group_order > 1 || stats.orbits_merged > 0 || stats.subproblems_replayed > 0 {
+    // The group is only probed under --modulo-symmetry.
+    if stats.symmetry_group_order > 1 || stats.orbits_merged > 0 {
         println!(
-            "symmetry: discovered group order {}, {} subproblems replayed, {} orbits merged{}",
-            stats.symmetry_group_order,
-            stats.subproblems_replayed,
-            stats.orbits_merged,
-            if opts.symmetry == SymmetryPolicy::ModuloSymmetry {
-                " (one representative per orbit)"
-            } else {
-                ""
-            }
+            "symmetry: discovered group order {}, {} orbits merged (one representative per orbit)",
+            stats.symmetry_group_order, stats.orbits_merged,
         );
     }
     if stats.effective_threads > 1 {
@@ -875,9 +870,8 @@ fn parse_client_args(args: &[String]) -> Result<ClientOptions, String> {
             "--cost" => opts.cost = value("--cost")?,
             "--top" => {
                 opts.top = Some(
-                    value("--top")?
-                        .parse()
-                        .map_err(|_| "--top expects a positive integer".to_string())?,
+                    positive(value("--top")?)
+                        .ok_or_else(|| "--top expects a positive integer".to_string())?,
                 )
             }
             "--width-bound" => {
@@ -895,9 +889,8 @@ fn parse_client_args(args: &[String]) -> Result<ClientOptions, String> {
             }
             "--node-budget" => {
                 opts.node_budget = Some(
-                    value("--node-budget")?
-                        .parse()
-                        .map_err(|_| "--node-budget expects a positive integer".to_string())?,
+                    positive(value("--node-budget")?)
+                        .ok_or_else(|| "--node-budget expects a positive integer".to_string())?,
                 )
             }
             "--threads" => {
@@ -1265,6 +1258,13 @@ mod tests {
     fn parse_args_rejects_unknown_flags_and_bad_values() {
         assert!(parse_args(&args(&["g.gr", "--frobnicate"])).is_err());
         assert!(parse_args(&args(&["g.gr", "--top", "many"])).is_err());
+        for flag in ["--top", "--node-budget"] {
+            let expected = format!("{flag} expects a positive integer");
+            let cli = parse_args(&args(&["g.gr", flag, "0"]));
+            assert_eq!(cli.err(), Some(expected.clone()));
+            let client = parse_client_args(&args(&["-", flag, "0"]));
+            assert_eq!(client.err(), Some(expected));
+        }
         assert!(parse_args(&args(&["g.gr", "--deadline"])).is_err());
         assert!(parse_args(&args(&["g.gr", "--deadline", "-1"])).is_err());
         assert!(parse_args(&args(&["g.gr", "--deadline", "nan"])).is_err());
@@ -1364,7 +1364,6 @@ mod tests {
         assert!(json.contains("\"delays_ms\": ["));
         assert!(json.contains("\"symmetry\": {\"group_order\": "));
         assert!(json.contains("\"orbits_merged\": "));
-        assert!(json.contains("\"subproblems_replayed\": "));
         // The top-level object plus the nested symmetry object: no stray
         // braces from the format.
         assert_eq!(json.matches('{').count(), 2);
@@ -1395,9 +1394,12 @@ mod tests {
     #[test]
     fn symmetry_flags_parse_and_quotient_the_stream() {
         let defaults = parse_args(&args(&["g.gr"])).unwrap();
-        assert_eq!(defaults.symmetry, SymmetryPolicy::Full);
-        let off = parse_args(&args(&["g.gr", "--no-symmetry"])).unwrap();
-        assert_eq!(off.symmetry, SymmetryPolicy::Off);
+        assert_eq!(defaults.symmetry, SymmetryPolicy::Off);
+        let removed = concat!("--no", "-symmetry");
+        let err = parse_args(&args(&["g.gr", removed]))
+            .err()
+            .expect("the symmetry opt-out is not a flag");
+        assert!(err.starts_with(&format!("unknown flag {removed}")), "{err}");
         let modulo = parse_args(&args(&["g.gr", "--modulo-symmetry"])).unwrap();
         assert_eq!(modulo.symmetry, SymmetryPolicy::ModuloSymmetry);
         // The atoms subcommand takes neither.
@@ -1410,7 +1412,10 @@ mod tests {
         let full = parse_args(&args(&["g", "--cost", "fill", "--top", "20"])).unwrap();
         let (all, _) = enumerate(&g, &full).unwrap();
         assert_eq!(all.results.len(), 14);
-        assert_eq!(all.stats.symmetry_group_order, 12);
+        assert_eq!(
+            all.stats.symmetry_group_order, 1,
+            "a default session never probes the group"
+        );
         let opts = parse_args(&args(&[
             "g",
             "--cost",

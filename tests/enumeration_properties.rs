@@ -36,7 +36,7 @@ fn ranked_fill_sets(g: &Graph, cost: &dyn BagCost) -> (Vec<CostValue>, HashSet<V
         fills.insert(fill_key(g, &r.triangulation));
     }
     assert_eq!(
-        enumerator.duplicates_skipped(),
+        enumerator.counters().duplicates_skipped,
         0,
         "Lawler–Murty partitions overlapped"
     );
