@@ -1,6 +1,6 @@
 //! The classic split-monotone bag costs of Section 3.
 
-use super::{induced_edge_count, AtomCombine, BagCost, ChildSolution, CostValue};
+use super::{induced_edge_count, AtomCombine, BagCost, CandidateBag, ChildSolution, CostValue};
 use mtr_graph::{Graph, Hypergraph, Vertex, VertexSet};
 use std::collections::{HashMap, VecDeque};
 
@@ -22,14 +22,18 @@ impl BagCost for Width {
         &self,
         _g: &Graph,
         _scope: &VertexSet,
-        omega: &VertexSet,
+        omega: CandidateBag<'_>,
         children: &[ChildSolution<'_>],
     ) -> CostValue {
-        let mut cost = CostValue::from_usize(omega.len().saturating_sub(1));
+        let mut cost = CostValue::from_usize(omega.vertices.len().saturating_sub(1));
         for c in children {
             cost = cost.max(c.cost);
         }
         cost
+    }
+
+    fn combine_reads_bags(&self) -> bool {
+        false
     }
 
     fn atom_combine(&self) -> Option<AtomCombine> {
@@ -77,19 +81,23 @@ impl BagCost for FillIn {
 
     fn combine(
         &self,
-        g: &Graph,
+        _g: &Graph,
         _scope: &VertexSet,
-        omega: &VertexSet,
+        omega: CandidateBag<'_>,
         children: &[ChildSolution<'_>],
     ) -> CostValue {
         // fill(assembled) = fill(Ω) + Σ_i (fill_i − fill(S_i)): the fill
         // edges of child i inside S_i ⊆ Ω are exactly the ones counted twice.
-        let mut cost = CostValue::from_usize(g.missing_edges_in(omega));
+        let mut cost = CostValue::from_usize(omega.missing_edges);
         for c in children {
-            let overlap = CostValue::from_usize(g.missing_edges_in(c.separator));
+            let overlap = CostValue::from_usize(c.separator_missing_edges);
             cost = cost.plus(c.cost).plus(CostValue::finite(-overlap.value()));
         }
         cost
+    }
+
+    fn combine_reads_bags(&self) -> bool {
+        false
     }
 
     fn atom_combine(&self) -> Option<AtomCombine> {
@@ -240,14 +248,18 @@ impl BagCost for WeightedWidth {
         &self,
         _g: &Graph,
         _scope: &VertexSet,
-        omega: &VertexSet,
+        omega: CandidateBag<'_>,
         children: &[ChildSolution<'_>],
     ) -> CostValue {
-        let mut cost = CostValue::finite(self.bag_weight(omega));
+        let mut cost = CostValue::finite(self.bag_weight(omega.vertices));
         for c in children {
             cost = cost.max(c.cost);
         }
         cost
+    }
+
+    fn combine_reads_bags(&self) -> bool {
+        false
     }
 }
 
@@ -353,14 +365,18 @@ impl BagCost for ExpBagSum {
         &self,
         _g: &Graph,
         _scope: &VertexSet,
-        omega: &VertexSet,
+        omega: CandidateBag<'_>,
         children: &[ChildSolution<'_>],
     ) -> CostValue {
-        let mut cost = CostValue::finite(2f64.powi(omega.len().min(1000) as i32));
+        let mut cost = CostValue::finite(2f64.powi(omega.vertices.len().min(1000) as i32));
         for c in children {
             cost = cost.plus(c.cost);
         }
         cost
+    }
+
+    fn combine_reads_bags(&self) -> bool {
+        false
     }
 
     fn label_invariant(&self) -> bool {
@@ -409,14 +425,18 @@ impl BagCost for CoverWidth {
         &self,
         _g: &Graph,
         _scope: &VertexSet,
-        omega: &VertexSet,
+        omega: CandidateBag<'_>,
         children: &[ChildSolution<'_>],
     ) -> CostValue {
-        let mut cost = self.bag_price(omega);
+        let mut cost = self.bag_price(omega.vertices);
         for c in children {
             cost = cost.max(c.cost);
         }
         cost
+    }
+
+    fn combine_reads_bags(&self) -> bool {
+        false
     }
 }
 
@@ -642,11 +662,12 @@ mod tests {
         for cost in [&Width as &dyn BagCost, &FillIn] {
             let child = ChildSolution {
                 separator: &sep,
+                separator_missing_edges: g.missing_edges_in(&sep),
                 vertices: &verts,
                 cost: cost.cost_of_bags(&g, &verts, &child_bags),
                 bags: &child_bags,
             };
-            let combined = cost.combine(&g, &scope, &omega, &[child]);
+            let combined = cost.combine(&g, &scope, CandidateBag::new(&g, &omega), &[child]);
             let mut bags = child_bags.clone();
             bags.push(omega.clone());
             assert_eq!(

@@ -13,8 +13,14 @@
 //! Constraints that are not yet fully inside `V(H)` are ignored at that
 //! level and re-checked higher up, which is what keeps the compiled cost
 //! split monotone.
+//!
+//! Inside the dynamic program the check needs no bags: the assembled bags
+//! of a candidate form a tree decomposition of its block, so a constraint
+//! is a clique exactly when a single bag contains it (Helly's property),
+//! and that bag is `Ω` unless the constraint lies inside one child block,
+//! where the child's own check already decided it.
 
-use super::{BagCost, ChildSolution, CostValue};
+use super::{BagCost, CandidateBag, ChildSolution, CostValue};
 use mtr_graph::{Graph, VertexSet};
 
 /// A set of inclusion/exclusion constraints over minimal separators.
@@ -126,14 +132,22 @@ impl<K: BagCost + ?Sized> BagCost for Constrained<'_, K> {
         &self,
         g: &Graph,
         scope: &VertexSet,
-        omega: &VertexSet,
+        omega: CandidateBag<'_>,
         children: &[ChildSolution<'_>],
     ) -> CostValue {
-        // Constraint check over the assembled solution: a constraint
-        // separator is a clique iff it lies inside Ω, inside some child's
-        // bag, or all its missing pairs are covered by those bags.
-        let mut violated = false;
-        'outer: for (want_clique, list) in [
+        // A bag-free inner cost propagates an infinite child (the
+        // `combine_reads_bags` contract), so the constraints need no check.
+        if !self.inner.combine_reads_bags() && children.iter().any(|c| c.cost.is_infinite()) {
+            return CostValue::INFINITE;
+        }
+        // The assembled bags — Ω plus every child's bags — form a tree
+        // decomposition of the block, so by Helly's property a constraint
+        // `U ⊆ scope` is a clique iff some bag contains it. A bag of child i
+        // lies in V_i, and Ω ∩ V_i = S_i, V_i ∩ V_j ⊆ S_i: so if `U ⊆ V_i`,
+        // its status is the one child i already checked (the child's cost is
+        // finite only if it held), and otherwise `U` is a clique iff
+        // `U ⊆ Ω`.
+        for (want_clique, list) in [
             (true, &self.constraints.include),
             (false, &self.constraints.exclude),
         ] {
@@ -141,50 +155,29 @@ impl<K: BagCost + ?Sized> BagCost for Constrained<'_, K> {
                 if !u.is_subset_of(scope) {
                     continue;
                 }
-                let clique = u.is_subset_of(omega)
-                    || children
-                        .iter()
-                        .any(|c| c.bags.iter().any(|b| u.is_subset_of(b)))
-                    || is_clique_in_assembled(g, omega, children, u);
+                let clique = if u.is_subset_of(omega.vertices) {
+                    true
+                } else {
+                    match children.iter().find(|c| u.is_subset_of(c.vertices)) {
+                        Some(c) if c.cost.is_finite() => continue,
+                        // An infinite child of a bag-reading cost: decide
+                        // from its bags (the inner cost may still price the
+                        // assembly finitely).
+                        Some(c) => c.bags.iter().any(|b| u.is_subset_of(b)),
+                        None => false,
+                    }
+                };
                 if clique != want_clique {
-                    violated = true;
-                    break 'outer;
+                    return CostValue::INFINITE;
                 }
             }
         }
-        if violated {
-            return CostValue::INFINITE;
-        }
         self.inner.combine(g, scope, omega, children)
     }
-}
 
-/// Clique test against `g ∪ K_Ω ∪ ⋃ child bags` without materializing the
-/// assembled bag list.
-fn is_clique_in_assembled(
-    g: &Graph,
-    omega: &VertexSet,
-    children: &[ChildSolution<'_>],
-    u: &VertexSet,
-) -> bool {
-    let members = u.to_vec();
-    for (i, &x) in members.iter().enumerate() {
-        for &y in &members[i + 1..] {
-            if g.has_edge(x, y) {
-                continue;
-            }
-            if omega.contains(x) && omega.contains(y) {
-                continue;
-            }
-            let covered = children
-                .iter()
-                .any(|c| c.bags.iter().any(|b| b.contains(x) && b.contains(y)));
-            if !covered {
-                return false;
-            }
-        }
+    fn combine_reads_bags(&self) -> bool {
+        self.inner.combine_reads_bags()
     }
-    true
 }
 
 #[cfg(test)]
@@ -296,6 +289,7 @@ mod tests {
         let wrapped = Constrained::new(&Width, &cons);
         let child = ChildSolution {
             separator: &sep,
+            separator_missing_edges: 0,
             vertices: &verts,
             cost: CostValue::from_usize(1),
             bags: &child_bags,
@@ -304,7 +298,7 @@ mod tests {
         // includes {w1,w2,w3}? It does (scope = everything), and the
         // assembled bags do not make it a clique, so exclusion holds too.
         let omega = VertexSet::from_slice(6, &[0, 1, 3]);
-        let combined = wrapped.combine(&g, &scope, &omega, &[child]);
+        let combined = wrapped.combine(&g, &scope, CandidateBag::new(&g, &omega), &[child]);
         let mut bags = child_bags.clone();
         bags.push(omega);
         assert_eq!(combined, wrapped.cost_of_bags(&g, &scope, &bags));

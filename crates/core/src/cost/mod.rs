@@ -15,7 +15,9 @@
 //!   uses to price "children blocks + one new bag Ω"; the default
 //!   implementation simply assembles the bag list and calls
 //!   `cost_of_bags`, which is correct for every bag cost, while the classic
-//!   costs override it with O(#children) arithmetic.
+//!   costs override it with O(#children) arithmetic and declare, through
+//!   [`BagCost::combine_reads_bags`], that the dynamic program need not
+//!   keep child bag lists for them at all.
 //!
 //! The provided implementations are the costs discussed in the paper:
 //! width, fill-in, the weighted variants of Furuse and Yamazaki, the
@@ -83,17 +85,44 @@ pub enum AtomCombine {
     Max,
 }
 
+/// The new bag `Ω` of a dynamic-program candidate, as seen by
+/// [`BagCost::combine`].
+#[derive(Clone, Copy, Debug)]
+pub struct CandidateBag<'a> {
+    /// The vertices of `Ω` (a potential maximal clique of the graph).
+    pub vertices: &'a VertexSet,
+    /// Number of non-edges of the graph inside `Ω`: the fill that
+    /// saturating `Ω` adds. Precomputed once per PMC by
+    /// [`Preprocessed`](crate::Preprocessed).
+    pub missing_edges: usize,
+}
+
+impl<'a> CandidateBag<'a> {
+    /// Describes `vertices` as a candidate bag of `g`, counting its missing
+    /// edges.
+    pub fn new(g: &Graph, vertices: &'a VertexSet) -> Self {
+        CandidateBag {
+            vertices,
+            missing_edges: g.missing_edges_in(vertices),
+        }
+    }
+}
+
 /// The stored solution of one child block, as seen by [`BagCost::combine`].
 #[derive(Clone, Copy, Debug)]
 pub struct ChildSolution<'a> {
     /// The minimal separator of the child block (`S_i`).
     pub separator: &'a VertexSet,
+    /// Number of non-edges of the graph inside `S_i`, precomputed once per
+    /// block by [`Preprocessed`](crate::Preprocessed).
+    pub separator_missing_edges: usize,
     /// The vertex set of the child block (`S_i ∪ C_i`).
     pub vertices: &'a VertexSet,
     /// The stored cost of the child's optimal triangulation
     /// (of the realization `R(S_i, C_i)` relative to `G[S_i ∪ C_i]`).
     pub cost: CostValue,
-    /// The bags of the child's stored triangulation.
+    /// The bags of the child's stored triangulation. Empty when the cost
+    /// declares [`BagCost::combine_reads_bags`] `false`.
     pub bags: &'a [VertexSet],
 }
 
@@ -136,14 +165,21 @@ pub trait BagCost {
     /// The cost of the triangulation of `g[scope]` assembled from the child
     /// block solutions plus the new bag `omega` (Equation (1) of the paper).
     ///
+    /// The dynamic program keeps only a backpointer per block — its cost and
+    /// its winning candidate — and rebuilds the triangulation once, at the
+    /// end. Child bag lists are stored and passed in
+    /// [`ChildSolution::bags`] only for costs whose
+    /// [`BagCost::combine_reads_bags`] is `true`.
+    ///
     /// The default implementation concatenates the bag lists and calls
     /// [`BagCost::cost_of_bags`]; override it when the cost can be combined
-    /// arithmetically from the child costs.
+    /// arithmetically from the child costs, and then also declare
+    /// [`BagCost::combine_reads_bags`] `false`.
     fn combine(
         &self,
         g: &Graph,
         scope: &VertexSet,
-        omega: &VertexSet,
+        omega: CandidateBag<'_>,
         children: &[ChildSolution<'_>],
     ) -> CostValue {
         let mut bags: Vec<VertexSet> =
@@ -151,8 +187,24 @@ pub trait BagCost {
         for c in children {
             bags.extend(c.bags.iter().cloned());
         }
-        bags.push(omega.clone());
+        bags.push(omega.vertices.clone());
         self.cost_of_bags(g, scope, &bags)
+    }
+
+    /// Whether [`BagCost::combine`] reads [`ChildSolution::bags`].
+    ///
+    /// The default `true` is right for every cost, and required by the
+    /// default `combine`. A cost that returns `false` gets `bags: &[]` for
+    /// every child, which spares the dynamic program from storing a bag
+    /// list per block. Such a cost's `combine` must then
+    ///
+    /// * price the candidate from `omega`, the child costs and the child
+    ///   structure alone, and
+    /// * return an infinite cost whenever some child's cost is infinite
+    ///   (the constraint wrapper [`Constrained`] relies on this to skip
+    ///   re-checking constraints inside such a child).
+    fn combine_reads_bags(&self) -> bool {
+        true
     }
 
     /// How (and whether) this cost factorizes over the atoms of a
@@ -233,13 +285,43 @@ mod tests {
         let verts = VertexSet::from_slice(6, &[1, 2]);
         let child = ChildSolution {
             separator: &sep,
+            separator_missing_edges: 0,
             vertices: &verts,
             cost: CostValue::finite(1.0),
             bags: &child_bags,
         };
         let omega = VertexSet::from_slice(6, &[0, 1, 3]);
-        let cost = BagCount.combine(&g, &g.vertex_set(), &omega, &[child]);
+        let cost = BagCount.combine(&g, &g.vertex_set(), CandidateBag::new(&g, &omega), &[child]);
         assert_eq!(cost, CostValue::from_usize(2));
+    }
+
+    #[test]
+    fn shipped_costs_declare_whether_combine_reads_bags() {
+        let cover = CoverWidth::new(mtr_graph::Hypergraph::from_edges(2, &[&[0, 1]]));
+        let bag_free: [&dyn BagCost; 5] = [
+            &Width,
+            &FillIn,
+            &WeightedWidth::new(vec![1.0]),
+            &ExpBagSum,
+            &cover,
+        ];
+        for cost in bag_free {
+            assert!(!cost.combine_reads_bags(), "{}", cost.name());
+        }
+        // Default-`combine` costs read bags, and so does the wrapper of one.
+        let linear = LinearCombination::new(vec![(1.0, Box::new(Width) as Box<dyn BagCost>)]);
+        let reads: [&dyn BagCost; 4] = [
+            &WidthThenFill,
+            &WeightedFillIn::new(1.0, vec![]),
+            &linear,
+            &BagCount,
+        ];
+        for cost in reads {
+            assert!(cost.combine_reads_bags(), "{}", cost.name());
+        }
+        let none = Constraints::none();
+        assert!(!Constrained::new(&FillIn, &none).combine_reads_bags());
+        assert!(Constrained::new(&WidthThenFill, &none).combine_reads_bags());
     }
 
     #[test]

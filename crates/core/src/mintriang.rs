@@ -15,13 +15,25 @@
 //! blocks — does not depend on the cost function, so it is computed once
 //! into a [`Preprocessed`] value and shared by every `MinTriang` invocation
 //! (exactly the "initialization step" the paper's experiments report).
+//! The missing-edge counts of every PMC and every block separator are graph
+//! properties too, and are stored there for [`BagCost::combine`].
+//!
+//! Each invocation keeps only a *backpointer* per block: its optimal cost
+//! and the index of its winning candidate. The triangulation is rebuilt
+//! once, at the end, by backtracking from the top-level winners and
+//! saturating each chosen `Ω`. Bag lists per block are kept only for costs
+//! whose [`BagCost::combine_reads_bags`] is `true` (the default `combine`);
+//! each is assembled once, from the block's winner. A cost that declares it
+//! `false` is handed `bags: &[]` and must propagate an infinite child cost,
+//! which is what lets the constraint wrapper skip bags entirely.
 
-use crate::cost::{BagCost, ChildSolution, CostValue};
+use crate::cost::{BagCost, CandidateBag, ChildSolution, CostValue};
 use crate::pool::{self, Scratch};
 use mtr_chordal::cliques::maximal_cliques_chordal;
 use mtr_graph::{Graph, VertexSet};
 use mtr_pmc::enumerate::{potential_maximal_cliques, potential_maximal_cliques_bounded};
 use mtr_separators::blocks::{full_blocks, Block};
+use std::cell::OnceCell;
 use std::collections::HashMap;
 
 /// A minimal triangulation together with its bag structure and cost.
@@ -79,9 +91,14 @@ pub struct Preprocessed {
     graph: Graph,
     minimal_separators: Vec<VertexSet>,
     pmcs: Vec<VertexSet>,
+    /// `graph.missing_edges_in(&pmcs[i])`, cached for [`BagCost::combine`].
+    pmc_missing_edges: Vec<usize>,
     blocks: Vec<Block>,
     /// `blocks[i].vertices()`, cached (used as the DP scope of block `i`).
     block_vertices: Vec<VertexSet>,
+    /// `graph.missing_edges_in(&blocks[i].separator)`, cached for
+    /// [`BagCost::combine`].
+    separator_missing_edges: Vec<usize>,
     /// For every full block, the candidate PMCs (with their child blocks).
     block_candidates: Vec<Vec<Candidate>>,
     /// Connected components of the graph.
@@ -166,6 +183,11 @@ impl Preprocessed {
     ) -> Self {
         let blocks = full_blocks(g, &minimal_separators);
         let block_vertices: Vec<VertexSet> = blocks.iter().map(Block::vertices).collect();
+        let pmc_missing_edges = pmcs.iter().map(|p| g.missing_edges_in(p)).collect();
+        let separator_missing_edges = blocks
+            .iter()
+            .map(|b| g.missing_edges_in(&b.separator))
+            .collect();
         let block_index: HashMap<Block, usize> = blocks
             .iter()
             .enumerate()
@@ -236,8 +258,10 @@ impl Preprocessed {
             graph: g.clone(),
             minimal_separators,
             pmcs,
+            pmc_missing_edges,
             blocks,
             block_vertices,
+            separator_missing_edges,
             block_candidates,
             components,
             top_candidates,
@@ -336,11 +360,12 @@ fn resolve_children(
     resolved.then_some(children)
 }
 
-/// The stored optimal solution of one block.
-#[derive(Clone, Debug)]
-struct BlockSolution {
-    bags: Vec<VertexSet>,
+/// The backpointer of one solved block (or component): its optimal cost
+/// and the index of the candidate achieving it.
+#[derive(Clone, Copy, Debug)]
+struct Winner {
     cost: CostValue,
+    candidate: usize,
 }
 
 /// Computes a minimum-cost minimal triangulation of the preprocessed graph
@@ -366,11 +391,12 @@ pub fn min_triangulation<K: BagCost + ?Sized>(
 
 /// [`min_triangulation`] with an explicit scratch arena.
 ///
-/// The dynamic program assembles and discards many intermediate bag lists
-/// (one per candidate improvement); this variant routes those `VertexSet`s
-/// through `scratch` so repeated invocations — one per Lawler–Murty node in
-/// the ranked engines — stop churning the allocator. The returned
-/// [`Triangulation`] owns its sets and does not borrow the scratch.
+/// For costs that read child bags in [`BagCost::combine`], the dynamic
+/// program assembles one bag list per solved block; this variant routes
+/// those `VertexSet`s through `scratch` so repeated invocations — one per
+/// Lawler–Murty node in the ranked engines — stop churning the allocator.
+/// Bag-free costs leave `scratch` untouched. The returned [`Triangulation`]
+/// owns its sets and does not borrow the scratch.
 pub fn min_triangulation_in<K: BagCost + ?Sized>(
     pre: &Preprocessed,
     cost: &K,
@@ -385,61 +411,75 @@ pub fn min_triangulation_in<K: BagCost + ?Sized>(
         });
     }
 
-    // Dynamic program over full blocks in ascending size order.
-    let mut solutions: Vec<Option<BlockSolution>> = vec![None; pre.blocks.len()];
+    // Dynamic program over full blocks in ascending size order, keeping a
+    // backpointer per block, plus its bag list when `combine` reads bags.
+    let mut winners: Vec<Option<Winner>> = vec![None; pre.blocks.len()];
+    let block_bags: Vec<OnceCell<Vec<VertexSet>>> = if cost.combine_reads_bags() {
+        (0..pre.blocks.len()).map(|_| OnceCell::new()).collect()
+    } else {
+        Vec::new()
+    };
+    let mut children: Vec<ChildSolution<'_>> = Vec::new();
     for bi in 0..pre.blocks.len() {
+        let candidates = &pre.block_candidates[bi];
         let scope = &pre.block_vertices[bi];
-        let mut best: Option<BlockSolution> = None;
-        for cand in &pre.block_candidates[bi] {
-            let omega = &pre.pmcs[cand.pmc];
-            let Some(children) = gather_children(pre, &solutions, &cand.children) else {
-                continue;
-            };
-            let value = cost.combine(g, scope, omega, &children);
-            if best.as_ref().is_none_or(|b| value < b.cost) {
-                let bags = assemble_bags_in(&children, omega, scratch);
-                if let Some(replaced) = best.replace(BlockSolution { bags, cost: value }) {
-                    recycle_bags(scratch, replaced.bags);
-                }
-            }
+        winners[bi] = best_candidate(
+            pre,
+            cost,
+            scope,
+            candidates,
+            &winners,
+            &block_bags,
+            &mut children,
+        );
+        if let (Some(w), Some(slot)) = (winners[bi], block_bags.get(bi)) {
+            slot.get_or_init(|| {
+                assemble_bags_in(pre, &block_bags, &candidates[w.candidate], scratch)
+            });
         }
-        solutions[bi] = best;
     }
 
-    // Top level: per connected component, then combine.
-    let mut all_bags: Vec<VertexSet> = Vec::new();
+    // Top level: the best candidate per connected component.
+    let mut chosen: Vec<&Candidate> = Vec::with_capacity(pre.components.len());
     for (ci, comp) in pre.components.iter().enumerate() {
-        let mut best: Option<BlockSolution> = None;
-        for cand in &pre.top_candidates[ci] {
-            let omega = &pre.pmcs[cand.pmc];
-            let Some(children) = gather_children(pre, &solutions, &cand.children) else {
-                continue;
-            };
-            let value = cost.combine(g, comp, omega, &children);
-            if best.as_ref().is_none_or(|b| value < b.cost) {
-                let bags = assemble_bags_in(&children, omega, scratch);
-                if let Some(replaced) = best.replace(BlockSolution { bags, cost: value }) {
-                    recycle_bags(scratch, replaced.bags);
-                }
-            }
-        }
-        let comp_solution = best?;
-        if comp_solution.cost.is_infinite() {
+        let candidates = &pre.top_candidates[ci];
+        let w = best_candidate(
+            pre,
+            cost,
+            comp,
+            candidates,
+            &winners,
+            &block_bags,
+            &mut children,
+        )?;
+        if w.cost.is_infinite() {
             return None;
         }
-        all_bags.extend(comp_solution.bags);
+        chosen.push(&candidates[w.candidate]);
+    }
+    drop(children);
+    for bag in block_bags
+        .into_iter()
+        .filter_map(OnceCell::into_inner)
+        .flatten()
+    {
+        scratch.recycle(bag);
     }
 
-    // Materialize the triangulation and canonicalize its bags as the maximal
+    // Materialize the triangulation by backtracking through the winners,
+    // saturating every chosen Ω, and canonicalize its bags as the maximal
     // cliques of the chordal graph.
     let mut h = g.clone();
-    for bag in &all_bags {
-        h.saturate(bag);
+    let mut pending: Vec<usize> = Vec::new();
+    for cand in chosen {
+        h.saturate(&pre.pmcs[cand.pmc]);
+        pending.extend(&cand.children);
     }
-    // Everything the DP assembled is scratch material from here on.
-    recycle_bags(scratch, all_bags);
-    for sol in solutions.into_iter().flatten() {
-        recycle_bags(scratch, sol.bags);
+    while let Some(bi) = pending.pop() {
+        let w = winners[bi].expect("a chosen candidate's child blocks are solved");
+        let cand = &pre.block_candidates[bi][w.candidate];
+        h.saturate(&pre.pmcs[cand.pmc]);
+        pending.extend(&cand.children);
     }
     let bags = maximal_cliques_chordal(&h)
         .expect("saturating the bags of a block decomposition must give a chordal graph");
@@ -454,50 +494,86 @@ pub fn min_triangulation_in<K: BagCost + ?Sized>(
     })
 }
 
-fn gather_children<'a>(
+/// Prices every candidate in order and returns the first of least cost
+/// (strict `<`, so ties keep the earliest), skipping candidates with an
+/// unsolved child block; `None` when every candidate was skipped.
+/// `children` is a reused buffer.
+fn best_candidate<'a, K: BagCost + ?Sized>(
     pre: &'a Preprocessed,
-    solutions: &'a [Option<BlockSolution>],
-    child_indices: &[usize],
-) -> Option<Vec<ChildSolution<'a>>> {
-    let mut children = Vec::with_capacity(child_indices.len());
-    for &ci in child_indices {
-        let sol = solutions[ci].as_ref()?;
-        children.push(ChildSolution {
-            separator: &pre.blocks[ci].separator,
-            vertices: &pre.block_vertices[ci],
-            cost: sol.cost,
-            bags: &sol.bags,
-        });
+    cost: &K,
+    scope: &VertexSet,
+    candidates: &[Candidate],
+    winners: &[Option<Winner>],
+    block_bags: &'a [OnceCell<Vec<VertexSet>>],
+    children: &mut Vec<ChildSolution<'a>>,
+) -> Option<Winner> {
+    let mut best: Option<Winner> = None;
+    'candidates: for (i, cand) in candidates.iter().enumerate() {
+        children.clear();
+        for &ci in &cand.children {
+            let Some(child) = winners[ci] else {
+                continue 'candidates;
+            };
+            children.push(ChildSolution {
+                separator: &pre.blocks[ci].separator,
+                separator_missing_edges: pre.separator_missing_edges[ci],
+                vertices: &pre.block_vertices[ci],
+                cost: child.cost,
+                bags: block_bags
+                    .get(ci)
+                    .and_then(OnceCell::get)
+                    .map_or(&[], Vec::as_slice),
+            });
+        }
+        let omega = CandidateBag {
+            vertices: &pre.pmcs[cand.pmc],
+            missing_edges: pre.pmc_missing_edges[cand.pmc],
+        };
+        let value = cost.combine(&pre.graph, scope, omega, children);
+        if best.is_none_or(|b| value < b.cost) {
+            best = Some(Winner {
+                cost: value,
+                candidate: i,
+            });
+        }
     }
-    Some(children)
+    best
 }
 
-/// Like cloning the child bags plus `omega` into a fresh list, but the
-/// backing sets come from the arena.
+/// The bag list of a block whose winner is `cand`: copies of the child
+/// blocks' bag lists followed by `Ω`, with the backing sets taken from the
+/// arena.
 fn assemble_bags_in(
-    children: &[ChildSolution<'_>],
-    omega: &VertexSet,
+    pre: &Preprocessed,
+    block_bags: &[OnceCell<Vec<VertexSet>>],
+    cand: &Candidate,
     scratch: &mut Scratch,
 ) -> Vec<VertexSet> {
-    let mut bags: Vec<VertexSet> =
-        Vec::with_capacity(1 + children.iter().map(|c| c.bags.len()).sum::<usize>());
-    for c in children {
-        for b in c.bags {
+    let child_bags = |ci: usize| {
+        block_bags[ci]
+            .get()
+            .expect("a winner's child blocks are solved")
+            .as_slice()
+    };
+    let mut bags: Vec<VertexSet> = Vec::with_capacity(
+        1 + cand
+            .children
+            .iter()
+            .map(|&ci| child_bags(ci).len())
+            .sum::<usize>(),
+    );
+    for &ci in &cand.children {
+        for b in child_bags(ci) {
             let mut copy = scratch.take(b.universe());
             copy.copy_from(b);
             bags.push(copy);
         }
     }
+    let omega = &pre.pmcs[cand.pmc];
     let mut top = scratch.take(omega.universe());
     top.copy_from(omega);
     bags.push(top);
     bags
-}
-
-fn recycle_bags(scratch: &mut Scratch, bags: Vec<VertexSet>) {
-    for b in bags {
-        scratch.recycle(b);
-    }
 }
 
 #[cfg(test)]

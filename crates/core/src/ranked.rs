@@ -81,7 +81,8 @@ pub struct EngineCounters {
     /// the heuristic seed, then the cost of the latest emitted result.
     pub incumbent: Option<CostValue>,
     /// Bytes of bitset scratch the engine's own arena served without
-    /// allocating (`0` for engines whose scratch lives in a worker pool).
+    /// allocating (`0` for engines whose scratch lives in a worker pool,
+    /// and for costs whose `combine` reads no bags, which never use it).
     pub arena_bytes_reused: usize,
     /// Branches and results merged into their orbit representative
     /// (modulo-symmetry mode; `0` otherwise).

@@ -394,6 +394,9 @@ pub struct EnumerationStats {
     pub incumbent_cost: Option<f64>,
     /// Bytes of `VertexSet` scratch served from a per-worker arena instead
     /// of fresh allocations, summed over the session's re-optimizations.
+    /// The arena backs the DP's per-block bag lists, which only costs whose
+    /// `combine` reads bags ([`BagCost::combine_reads_bags`]) use; it stays
+    /// `0` for bag-free costs such as width and fill-in.
     pub arena_bytes_reused: usize,
     /// Order of the *discovered* automorphism group of the input graph
     /// (a subgroup of the full group when the canonical search truncated).
@@ -1283,7 +1286,7 @@ impl<K: BagCost + Sync + ?Sized> SessionEngine for Engine<'_, '_, K> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cost::{CostValue, FillIn};
+    use crate::cost::{CostValue, FillIn, WidthThenFill};
     use mtr_chordal::is_minimal_triangulation;
     use mtr_graph::paper_example_graph;
 
@@ -1647,10 +1650,16 @@ mod tests {
 
     #[test]
     fn arena_bytes_are_reported() {
+        // The arena backs the per-block bag lists, which only bag-reading
+        // costs (the default `combine`) make the DP keep.
         let g = c6();
-        let sequential = Enumerate::on(&g).cost(&FillIn).run().unwrap();
+        let sequential = Enumerate::on(&g).cost(&WidthThenFill).run().unwrap();
         assert!(sequential.stats.arena_bytes_reused > 0);
-        let parallel = Enumerate::on(&g).cost(&FillIn).threads(4).run().unwrap();
+        let parallel = Enumerate::on(&g)
+            .cost(&WidthThenFill)
+            .threads(4)
+            .run()
+            .unwrap();
         assert!(parallel.stats.arena_bytes_reused > 0);
     }
 

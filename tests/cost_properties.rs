@@ -7,12 +7,55 @@ mod common;
 
 use common::arbitrary_graph;
 use mtr_core::cost::{
-    BagCost, Constrained, Constraints, CostValue, FillIn, WeightedFillIn, WeightedWidth, Width,
-    WidthThenFill,
+    AtomCombine, BagCost, CandidateBag, ChildSolution, Constrained, Constraints, CostValue,
+    ExpBagSum, FillIn, WeightedFillIn, WeightedWidth, Width, WidthThenFill,
 };
-use mtr_core::{all_triangulations_ranked, Enumerate, Preprocessed};
-use mtr_graph::Graph;
+use mtr_core::{
+    all_triangulations_ranked, min_triangulation, Enumerate, Preprocessed, Triangulation,
+};
+use mtr_graph::{Graph, VertexSet};
 use proptest::prelude::*;
+
+/// Forces the dynamic program onto its bag path: forwards everything to the
+/// wrapped cost but declares that `combine` reads the child bags, so the DP
+/// stores a bag list per block and the constraint wrapper gets real bags.
+struct ReadsBags<'a>(&'a (dyn BagCost + Sync));
+
+impl BagCost for ReadsBags<'_> {
+    fn name(&self) -> String {
+        self.0.name()
+    }
+    fn cost_of_bags(&self, g: &Graph, scope: &VertexSet, bags: &[VertexSet]) -> CostValue {
+        self.0.cost_of_bags(g, scope, bags)
+    }
+    fn combine(
+        &self,
+        g: &Graph,
+        scope: &VertexSet,
+        omega: CandidateBag<'_>,
+        children: &[ChildSolution<'_>],
+    ) -> CostValue {
+        self.0.combine(g, scope, omega, children)
+    }
+    fn combine_reads_bags(&self) -> bool {
+        true
+    }
+    fn atom_combine(&self) -> Option<AtomCombine> {
+        self.0.atom_combine()
+    }
+    fn include_lower_bound(&self, g: &Graph, include: &[VertexSet]) -> Option<CostValue> {
+        self.0.include_lower_bound(g, include)
+    }
+    fn label_invariant(&self) -> bool {
+        self.0.label_invariant()
+    }
+}
+
+/// The bit-level identity of a `MinTriang` outcome: cost bits and the
+/// triangulation graph.
+fn solved(t: Option<Triangulation>) -> Option<(u64, Graph)> {
+    t.map(|t| (t.cost.value().to_bits(), t.graph))
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
@@ -128,6 +171,69 @@ proptest! {
             .min()
             .unwrap();
         prop_assert_eq!(lex.fill_in(&g), min_fill_at_best_width);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Bag-free `combine` (backpointer-only DP, constraint checks from block
+    /// structure, hoisted fill terms) is bit-for-bit the bag path: the same
+    /// constrained and unconstrained optimum — cost and triangulation — and
+    /// the same top-k ranked stream, for random `I/X` drawn from the
+    /// graph's minimal separators.
+    #[test]
+    fn bag_free_dp_matches_bag_path(
+        g in arbitrary_graph(4, 9),
+        picks in prop::collection::vec(0u8..6, 16),
+    ) {
+        let pre = Preprocessed::new(&g);
+        let (mut include, mut exclude) = (Vec::new(), Vec::new());
+        for (sep, pick) in pre.minimal_separators().iter().zip(picks) {
+            match pick {
+                0 => include.push(sep.clone()),
+                1 => exclude.push(sep.clone()),
+                _ => {}
+            }
+        }
+        let constraints = Constraints::new(include, exclude);
+        let satisfying: Vec<_> = all_triangulations_ranked(&g, &FillIn)
+            .into_iter()
+            .filter(|t| constraints.satisfied_by_graph(&t.triangulation))
+            .collect();
+        let weighted = WeightedWidth::new((0..g.n()).map(|v| 1.0 + f64::from(v % 3)).collect());
+        let costs: [&(dyn BagCost + Sync); 4] = [&Width, &FillIn, &ExpBagSum, &weighted];
+        for cost in costs {
+            let bag_path = ReadsBags(cost);
+            prop_assert!(!cost.combine_reads_bags(), "{} reads bags", cost.name());
+            prop_assert_eq!(
+                solved(min_triangulation(&pre, cost)),
+                solved(min_triangulation(&pre, &bag_path))
+            );
+            let constrained = min_triangulation(&pre, &Constrained::new(cost, &constraints));
+            // The exhaustive oracle pins the constrained optimum's cost.
+            let oracle = satisfying
+                .iter()
+                .map(|t| cost.cost_of_bags(&g, &g.vertex_set(), &t.bags))
+                .min();
+            prop_assert_eq!(constrained.as_ref().map(|t| t.cost), oracle);
+            prop_assert_eq!(
+                solved(constrained),
+                solved(min_triangulation(&pre, &Constrained::new(&bag_path, &constraints)))
+            );
+            let stream = |k: &(dyn BagCost + Sync)| -> Vec<(u64, Graph)> {
+                Enumerate::with(&pre)
+                    .cost(k)
+                    .max_results(8)
+                    .run()
+                    .unwrap()
+                    .results
+                    .into_iter()
+                    .map(|r| (r.cost.value().to_bits(), r.triangulation))
+                    .collect()
+            };
+            prop_assert_eq!(stream(cost), stream(&bag_path));
+        }
     }
 }
 
