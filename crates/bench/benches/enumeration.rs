@@ -1,11 +1,13 @@
 //! Criterion micro-benchmarks for the enumeration itself: the per-result
 //! delay of `RankedTriang` (the paper's "delay no init" column), the CKK
 //! baseline's per-result cost, and single `MinTriang` invocations with and
-//! without compiled constraints.
+//! without constraints — through the `Constrained` cost wrapper and through
+//! the dynamic program's own enforcement, which the ranked engines use.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mtr_core::cost::{Constrained, Constraints, FillIn, Width};
-use mtr_core::{min_triangulation, CkkEnumerator, Enumerate, Preprocessed};
+use mtr_core::pool::Scratch;
+use mtr_core::{min_triangulation, min_triangulation_in, CkkEnumerator, Enumerate, Preprocessed};
 use mtr_graph::Graph;
 use mtr_workloads::random::gnp_connected;
 use mtr_workloads::structured::{grid, mycielski};
@@ -45,6 +47,15 @@ fn bench_min_triangulation(c: &mut Criterion) {
                         let k = Constrained::new(&FillIn, &constraints);
                         min_triangulation(pre, &k)
                     })
+                },
+            );
+            // The same constraints enforced by the dynamic program itself.
+            group.bench_with_input(
+                BenchmarkId::new("fill_constrained_engine", name),
+                &pre,
+                |b, pre| {
+                    let mut scratch = Scratch::default();
+                    b.iter(|| min_triangulation_in(pre, &FillIn, &constraints, &mut scratch))
                 },
             );
         }

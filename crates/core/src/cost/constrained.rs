@@ -19,6 +19,16 @@
 //! is a clique exactly when a single bag contains it (Helly's property),
 //! and that bag is `Ω` unless the constraint lies inside one child block,
 //! where the child's own check already decided it.
+//!
+//! That rule is stated once, over bits, by [`violates`]: bit `k` of each
+//! word stands for constraint `k` (the inclusions first, then the
+//! exclusions). It has two callers, which differ only in where the bits
+//! come from. [`min_triangulation_in`](crate::min_triangulation_in) takes
+//! the ranked engines' `[I, X]` directly and compiles it once per solve
+//! into bit masks per block and per PMC, so its candidate loop tests no
+//! vertex sets. [`Constrained`] is the public [`BagCost`] form of
+//! `κ[I, X]`, for callers that want a constrained cost as a value; its
+//! `combine` derives the same bits by subset tests on every call.
 
 use super::{BagCost, CandidateBag, ChildSolution, CostValue};
 use mtr_graph::{Graph, VertexSet};
@@ -67,6 +77,39 @@ impl Constraints {
         true
     }
 
+    /// Whether one dynamic-program candidate — `Ω` chosen for the block
+    /// `scope`, over the child solutions `children` — violates the
+    /// constraints: the rule of [`violates`], one constraint at a time, with
+    /// its bit derived by subset tests.
+    pub(crate) fn violated_by(
+        &self,
+        scope: &VertexSet,
+        omega: &VertexSet,
+        children: &[ChildSolution<'_>],
+    ) -> bool {
+        let include = self.include.iter().map(|u| (1, u));
+        let exclude = self.exclude.iter().map(|u| (0, u));
+        include.chain(exclude).any(|(included, u)| {
+            if !u.is_subset_of(scope) {
+                return false;
+            }
+            let mut word = CandidateWord {
+                scope: 1,
+                ..CandidateWord::default()
+            };
+            if u.is_subset_of(omega) {
+                word.omega = 1;
+            } else if let Some(c) = children.iter().find(|c| u.is_subset_of(c.vertices)) {
+                if c.cost.is_finite() {
+                    word.decided = 1;
+                } else if c.bags.iter().any(|b| u.is_subset_of(b)) {
+                    word.bagged = 1;
+                }
+            }
+            violates(included, 1 - included, word)
+        })
+    }
+
     /// Checks whether a *complete* triangulation `h` of `g` satisfies the
     /// constraints, in the sense of line 12 of the enumeration algorithm:
     /// every inclusion separator is a clique of `h` and every exclusion
@@ -74,6 +117,33 @@ impl Constraints {
     pub fn satisfied_by_graph(&self, h: &Graph) -> bool {
         self.include.iter().all(|u| h.is_clique(u)) && self.exclude.iter().all(|u| !h.is_clique(u))
     }
+}
+
+/// Up to 64 constraints of one dynamic-program candidate (`Ω` chosen for a
+/// block, over its child solutions), one bit per constraint.
+#[derive(Clone, Copy, Debug, Default)]
+pub(crate) struct CandidateWord {
+    /// Constraints inside the block's scope `S ∪ C`.
+    pub scope: u64,
+    /// Constraints inside `Ω`.
+    pub omega: u64,
+    /// Constraints inside a child block of finite cost: that child's own
+    /// check decided them.
+    pub decided: u64,
+    /// Constraints outside `Ω`, inside a child block of infinite cost, that
+    /// one of the child's bags contains.
+    pub bagged: u64,
+}
+
+/// The `κ[I, X]` rule for one candidate: `true` when an inclusion
+/// constraint in scope is not a clique of the assembled triangulation, or
+/// an exclusion constraint is. A constraint in scope is a clique iff it lies
+/// in `Ω` or in a bag of the infinite child containing it; one inside a
+/// finite child is left to that child.
+pub(crate) fn violates(include: u64, exclude: u64, w: CandidateWord) -> bool {
+    let clique = (w.scope & w.omega) | w.bagged;
+    let open = w.scope & !w.omega & !w.decided & !w.bagged;
+    include & open != 0 || exclude & clique != 0
 }
 
 /// `true` iff `u` is a clique of the triangulation `g ∪ ⋃ K_bag`: every pair
@@ -99,6 +169,12 @@ fn is_clique_in_triangulation(g: &Graph, bags: &[VertexSet], u: &VertexSet) -> b
 
 /// The compiled cost `κ[I, X]`: the wrapped cost when the constraints are
 /// satisfied, `∞` otherwise.
+///
+/// This is the public cost form of the constraints, for callers that want
+/// a constrained cost as a value. The ranked engines pass their
+/// constraints to [`min_triangulation_in`](crate::min_triangulation_in)
+/// instead, which enforces the same rule from precompiled bit masks and
+/// returns the same optimum, bit for bit.
 pub struct Constrained<'a, K: BagCost + ?Sized> {
     inner: &'a K,
     constraints: &'a Constraints,
@@ -145,32 +221,14 @@ impl<K: BagCost + ?Sized> BagCost for Constrained<'_, K> {
         // `U ⊆ scope` is a clique iff some bag contains it. A bag of child i
         // lies in V_i, and Ω ∩ V_i = S_i, V_i ∩ V_j ⊆ S_i: so if `U ⊆ V_i`,
         // its status is the one child i already checked (the child's cost is
-        // finite only if it held), and otherwise `U` is a clique iff
-        // `U ⊆ Ω`.
-        for (want_clique, list) in [
-            (true, &self.constraints.include),
-            (false, &self.constraints.exclude),
-        ] {
-            for u in list {
-                if !u.is_subset_of(scope) {
-                    continue;
-                }
-                let clique = if u.is_subset_of(omega.vertices) {
-                    true
-                } else {
-                    match children.iter().find(|c| u.is_subset_of(c.vertices)) {
-                        Some(c) if c.cost.is_finite() => continue,
-                        // An infinite child of a bag-reading cost: decide
-                        // from its bags (the inner cost may still price the
-                        // assembly finitely).
-                        Some(c) => c.bags.iter().any(|b| u.is_subset_of(b)),
-                        None => false,
-                    }
-                };
-                if clique != want_clique {
-                    return CostValue::INFINITE;
-                }
-            }
+        // finite only if it held), or, for an infinite child of a
+        // bag-reading cost, read from its bags; otherwise `U` is a clique
+        // iff `U ⊆ Ω`.
+        if self
+            .constraints
+            .violated_by(scope, omega.vertices, children)
+        {
+            return CostValue::INFINITE;
         }
         self.inner.combine(g, scope, omega, children)
     }

@@ -33,6 +33,7 @@ pub use classic::{
     CoverWidth, ExpBagSum, FillIn, LinearCombination, WeightedFillIn, WeightedWidth, Width,
     WidthThenFill,
 };
+pub(crate) use constrained::{violates, CandidateWord};
 pub use constrained::{Constrained, Constraints};
 pub use value::CostValue;
 
@@ -201,8 +202,9 @@ pub trait BagCost {
     /// * price the candidate from `omega`, the child costs and the child
     ///   structure alone, and
     /// * return an infinite cost whenever some child's cost is infinite
-    ///   (the constraint wrapper [`Constrained`] relies on this to skip
-    ///   re-checking constraints inside such a child).
+    ///   (constraint enforcement — the dynamic program's and the wrapper
+    ///   [`Constrained`]'s — relies on this to skip re-checking constraints
+    ///   inside such a child).
     fn combine_reads_bags(&self) -> bool {
         true
     }

@@ -25,16 +25,37 @@
 //! whose [`BagCost::combine_reads_bags`] is `true` (the default `combine`);
 //! each is assembled once, from the block's winner. A cost that declares it
 //! `false` is handed `bags: &[]` and must propagate an infinite child cost,
-//! which is what lets the constraint wrapper skip bags entirely.
+//! which is what lets constraint enforcement skip bags entirely.
+//!
+//! The ranked engines' inclusion/exclusion constraints `[I, X]` (the cost
+//! `κ[I, X]` of Lemma 6.2) are enforced by the DP itself, not by a cost
+//! wrapper. Each solve compiles them into bit masks, bit `k` standing for
+//! constraint `k`: one mask per full block (the constraints inside its
+//! scope `S ∪ C`), one per PMC (those inside `Ω`), and one per connected
+//! component. The masks are transposed from per-separator *containment
+//! rows* — which blocks and which PMCs contain the separator — that
+//! [`Preprocessed`] computes on a separator's first use as a constraint
+//! and caches, so the unconstrained first solve pays nothing and the
+//! memory grows only with the separators actually constrained. A candidate
+//! is then priced `∞` by a few word operations per 64 constraints (see
+//! [`Constrained`](crate::cost::Constrained), the public cost form of the
+//! same rule), with no vertex-set test in the candidate loop. The one
+//! exception is a candidate with an infinite child under a cost that reads
+//! bags: that child's constraints are decided from its bags, by subset
+//! tests.
 
-use crate::cost::{BagCost, CandidateBag, ChildSolution, CostValue};
+use crate::cost::{
+    violates, BagCost, CandidateBag, CandidateWord, ChildSolution, Constraints, CostValue,
+};
 use crate::pool::{self, Scratch};
 use mtr_chordal::cliques::maximal_cliques_chordal;
 use mtr_graph::{Graph, VertexSet};
 use mtr_pmc::enumerate::{potential_maximal_cliques, potential_maximal_cliques_bounded};
 use mtr_separators::blocks::{full_blocks, Block};
+use std::borrow::Cow;
 use std::cell::OnceCell;
 use std::collections::HashMap;
+use std::sync::OnceLock;
 
 /// A minimal triangulation together with its bag structure and cost.
 #[derive(Clone, Debug)]
@@ -107,6 +128,20 @@ pub struct Preprocessed {
     top_candidates: Vec<Vec<Candidate>>,
     /// The width bound used during preprocessing, if any.
     width_bound: Option<usize>,
+    /// The position of every minimal separator in `minimal_separators`.
+    separator_index: HashMap<VertexSet, usize>,
+    /// Per minimal separator, its containment row, computed on its first
+    /// use as a constraint.
+    containment: Vec<OnceLock<Containment>>,
+}
+
+/// The full blocks and the PMCs that contain one vertex set: bit `b` of
+/// `blocks` is set iff the set lies in `V_b`, bit `p` of `pmcs` iff it lies
+/// in the `p`-th PMC.
+#[derive(Clone, Debug)]
+struct Containment {
+    blocks: Vec<u64>,
+    pmcs: Vec<u64>,
 }
 
 impl Preprocessed {
@@ -254,8 +289,16 @@ impl Preprocessed {
             top_candidates.push(candidates);
         }
 
+        let separator_index = minimal_separators
+            .iter()
+            .enumerate()
+            .map(|(i, s)| (s.clone(), i))
+            .collect();
+        let containment = minimal_separators.iter().map(|_| OnceLock::new()).collect();
         Preprocessed {
             graph: g.clone(),
+            separator_index,
+            containment,
             minimal_separators,
             pmcs,
             pmc_missing_edges,
@@ -293,7 +336,142 @@ impl Preprocessed {
     pub fn width_bound(&self) -> Option<usize> {
         self.width_bound
     }
+
+    /// The blocks and PMCs containing `u`: cached for a minimal separator,
+    /// computed on the spot for any other set.
+    fn containment(&self, u: &VertexSet) -> Cow<'_, Containment> {
+        let compute = || Containment {
+            blocks: supersets_of(u, &self.block_vertices),
+            pmcs: supersets_of(u, &self.pmcs),
+        };
+        match self.separator_index.get(u) {
+            Some(&i) => Cow::Borrowed(self.containment[i].get_or_init(compute)),
+            None => Cow::Owned(compute()),
+        }
+    }
 }
+
+/// The bitset of the members of `sets` that contain `u`.
+fn supersets_of(u: &VertexSet, sets: &[VertexSet]) -> Vec<u64> {
+    let mut bits = vec![0u64; sets.len().div_ceil(64)];
+    for (i, s) in sets.iter().enumerate() {
+        if u.is_subset_of(s) {
+            bits[i / 64] |= 1 << (i % 64);
+        }
+    }
+    bits
+}
+
+/// The positions of the set bits of a bitset, in increasing order.
+fn ones(bits: &[u64]) -> impl Iterator<Item = usize> + '_ {
+    bits.iter().enumerate().flat_map(|(wi, &word)| {
+        let mut rest = word;
+        std::iter::from_fn(move || {
+            (rest != 0).then(|| {
+                let bit = rest.trailing_zeros() as usize;
+                rest &= rest - 1;
+                wi * 64 + bit
+            })
+        })
+    })
+}
+
+/// The constraints `[I, X]` of one solve, compiled against the block
+/// structure. Bit `k` of every mask stands for constraint `k` (the
+/// inclusions first, then the exclusions); each mask is `words` words.
+struct ConstraintMasks<'c> {
+    constraints: &'c Constraints,
+    words: usize,
+    /// The masks end to end, indexed by mask number: one per full block
+    /// (the constraints inside `V_b`), then one per PMC (inside `Ω`), one
+    /// per connected component (inside it), and the inclusion and exclusion
+    /// masks.
+    bits: Vec<u64>,
+    pmc_base: usize,
+    component_base: usize,
+    kind_base: usize,
+}
+
+impl<'c> ConstraintMasks<'c> {
+    /// Compiles `constraints` into `bits`, a reused buffer, by transposing
+    /// the containment row of every constraint.
+    fn compile(pre: &Preprocessed, constraints: &'c Constraints, mut bits: Vec<u64>) -> Self {
+        let n_include = constraints.include.len();
+        let words = (n_include + constraints.exclude.len()).div_ceil(64);
+        let pmc_base = pre.blocks.len();
+        let component_base = pmc_base + pre.pmcs.len();
+        let kind_base = component_base + pre.components.len();
+        bits.clear();
+        bits.resize((kind_base + 2) * words, 0);
+        for (k, u) in constraints
+            .include
+            .iter()
+            .chain(&constraints.exclude)
+            .enumerate()
+        {
+            let (word, bit) = (k / 64, 1u64 << (k % 64));
+            let mut set = |mask: usize| bits[mask * words + word] |= bit;
+            let rows = pre.containment(u);
+            ones(&rows.blocks).for_each(&mut set);
+            ones(&rows.pmcs).for_each(|p| set(pmc_base + p));
+            for (ci, comp) in pre.components.iter().enumerate() {
+                if u.is_subset_of(comp) {
+                    set(component_base + ci);
+                }
+            }
+            set(kind_base + usize::from(k >= n_include));
+        }
+        ConstraintMasks {
+            constraints,
+            words,
+            bits,
+            pmc_base,
+            component_base,
+            kind_base,
+        }
+    }
+
+    fn word(&self, mask: usize, w: usize) -> u64 {
+        self.bits[mask * self.words + w]
+    }
+
+    /// The compiled constraints together with scope mask `mask` (a block's,
+    /// or `component_base + c`), or `None` when no constraint lies in that
+    /// scope and there is nothing to enforce.
+    fn in_scope(&self, mask: usize) -> Option<Enforced<'_>> {
+        let scope = &self.bits[mask * self.words..(mask + 1) * self.words];
+        scope.iter().any(|&w| w != 0).then_some((self, scope))
+    }
+
+    /// Whether `cand`, chosen in a scope whose mask is `scope`, violates
+    /// the constraints: the rule of [`violates`] with every bit read from
+    /// the masks. Every child of `cand` must have a finite cost.
+    fn rejects(&self, scope: &[u64], cand: &Candidate) -> bool {
+        (0..self.words).any(|w| {
+            scope[w] != 0 && {
+                let decided = cand
+                    .children
+                    .iter()
+                    .fold(0, |acc, &c| acc | self.word(c, w));
+                let word = CandidateWord {
+                    scope: scope[w],
+                    omega: self.word(self.pmc_base + cand.pmc, w),
+                    decided,
+                    bagged: 0,
+                };
+                violates(
+                    self.word(self.kind_base, w),
+                    self.word(self.kind_base + 1, w),
+                    word,
+                )
+            }
+        })
+    }
+}
+
+/// The compiled constraints of a solve and the mask of one scope's
+/// constraints, as [`ConstraintMasks::in_scope`] returns them.
+type Enforced<'m> = (&'m ConstraintMasks<'m>, &'m [u64]);
 
 /// Resolves all candidate PMCs of one full block — the unit of work the
 /// threaded initialization distributes over the pool.
@@ -374,8 +552,7 @@ struct Winner {
 /// Returns `None` only when the graph admits no triangulation within the
 /// preprocessing restrictions — i.e. when a width bound was used and the
 /// graph has no minimal triangulation of that width, or when every candidate
-/// has infinite cost (all of them violate the constraints compiled into the
-/// cost).
+/// has infinite cost.
 pub fn min_triangulation<K: BagCost + ?Sized>(
     pre: &Preprocessed,
     cost: &K,
@@ -386,30 +563,51 @@ pub fn min_triangulation<K: BagCost + ?Sized>(
         // would be strictly slower than plain clones.
         static SCRATCH: std::cell::RefCell<Scratch> = std::cell::RefCell::new(Scratch::default());
     }
-    SCRATCH.with(|s| min_triangulation_in(pre, cost, &mut s.borrow_mut()))
+    SCRATCH.with(|s| min_triangulation_in(pre, cost, &Constraints::none(), &mut s.borrow_mut()))
 }
 
-/// [`min_triangulation`] with an explicit scratch arena.
+/// [`min_triangulation`] under inclusion/exclusion constraints, with an
+/// explicit scratch arena: `MinTriang⟨κ[I, X]⟩(G)` for `κ = cost` and
+/// `[I, X] = constraints`, the re-optimization of one Lawler–Murty node.
+///
+/// On a graph with at least one vertex the result equals
+/// [`min_triangulation`] under
+/// [`Constrained::new(cost, constraints)`](crate::cost::Constrained), bit
+/// for bit; it is `None` when no minimal triangulation satisfies the
+/// constraints. The constraints are compiled into bit masks once per call
+/// (see the module docs), whose buffer comes from `scratch`.
 ///
 /// For costs that read child bags in [`BagCost::combine`], the dynamic
-/// program assembles one bag list per solved block; this variant routes
-/// those `VertexSet`s through `scratch` so repeated invocations — one per
+/// program also assembles one bag list per solved block; those `VertexSet`s
+/// are routed through `scratch` so repeated invocations — one per
 /// Lawler–Murty node in the ranked engines — stop churning the allocator.
-/// Bag-free costs leave `scratch` untouched. The returned [`Triangulation`]
-/// owns its sets and does not borrow the scratch.
+/// The returned [`Triangulation`] owns its sets and does not borrow the
+/// scratch.
 pub fn min_triangulation_in<K: BagCost + ?Sized>(
     pre: &Preprocessed,
     cost: &K,
+    constraints: &Constraints,
     scratch: &mut Scratch,
 ) -> Option<Triangulation> {
     let g = &pre.graph;
     if g.n() == 0 {
-        return Some(Triangulation {
+        return constraints.satisfied_by_graph(g).then(|| Triangulation {
             graph: Graph::new(0),
             bags: Vec::new(),
             cost: cost.cost_of_bags(g, &VertexSet::empty(0), &[]),
         });
     }
+    // A constraint spanning two components is never a clique: an inclusion
+    // cannot be met (and an exclusion is met by every triangulation).
+    if constraints
+        .include
+        .iter()
+        .any(|u| !pre.components.iter().any(|c| u.is_subset_of(c)))
+    {
+        return None;
+    }
+    let masks = (!constraints.is_empty())
+        .then(|| ConstraintMasks::compile(pre, constraints, scratch.take_words()));
 
     // Dynamic program over full blocks in ascending size order, keeping a
     // backpointer per block, plus its bag list when `combine` reads bags.
@@ -422,12 +620,12 @@ pub fn min_triangulation_in<K: BagCost + ?Sized>(
     let mut children: Vec<ChildSolution<'_>> = Vec::new();
     for bi in 0..pre.blocks.len() {
         let candidates = &pre.block_candidates[bi];
-        let scope = &pre.block_vertices[bi];
         winners[bi] = best_candidate(
             pre,
             cost,
-            scope,
+            &pre.block_vertices[bi],
             candidates,
+            masks.as_ref().and_then(|m| m.in_scope(bi)),
             &winners,
             &block_bags,
             &mut children,
@@ -440,24 +638,32 @@ pub fn min_triangulation_in<K: BagCost + ?Sized>(
     }
 
     // Top level: the best candidate per connected component.
-    let mut chosen: Vec<&Candidate> = Vec::with_capacity(pre.components.len());
-    for (ci, comp) in pre.components.iter().enumerate() {
-        let candidates = &pre.top_candidates[ci];
-        let w = best_candidate(
-            pre,
-            cost,
-            comp,
-            candidates,
-            &winners,
-            &block_bags,
-            &mut children,
-        )?;
-        if w.cost.is_infinite() {
-            return None;
-        }
-        chosen.push(&candidates[w.candidate]);
-    }
+    let chosen: Option<Vec<&Candidate>> = pre
+        .components
+        .iter()
+        .enumerate()
+        .map(|(ci, comp)| {
+            let candidates = &pre.top_candidates[ci];
+            best_candidate(
+                pre,
+                cost,
+                comp,
+                candidates,
+                masks
+                    .as_ref()
+                    .and_then(|m| m.in_scope(m.component_base + ci)),
+                &winners,
+                &block_bags,
+                &mut children,
+            )
+            .filter(|w| w.cost.is_finite())
+            .map(|w| &candidates[w.candidate])
+        })
+        .collect();
     drop(children);
+    if let Some(masks) = masks {
+        scratch.recycle_words(masks.bits);
+    }
     for bag in block_bags
         .into_iter()
         .filter_map(OnceCell::into_inner)
@@ -471,7 +677,7 @@ pub fn min_triangulation_in<K: BagCost + ?Sized>(
     // cliques of the chordal graph.
     let mut h = g.clone();
     let mut pending: Vec<usize> = Vec::new();
-    for cand in chosen {
+    for cand in chosen? {
         h.saturate(&pre.pmcs[cand.pmc]);
         pending.extend(&cand.children);
     }
@@ -497,23 +703,29 @@ pub fn min_triangulation_in<K: BagCost + ?Sized>(
 /// Prices every candidate in order and returns the first of least cost
 /// (strict `<`, so ties keep the earliest), skipping candidates with an
 /// unsolved child block; `None` when every candidate was skipped.
-/// `children` is a reused buffer.
+/// `enforced` carries the solve's constraints when some lie in `scope`: a
+/// candidate that violates them costs `∞`. `children` is a reused buffer.
+#[allow(clippy::too_many_arguments)]
 fn best_candidate<'a, K: BagCost + ?Sized>(
     pre: &'a Preprocessed,
     cost: &K,
     scope: &VertexSet,
     candidates: &[Candidate],
+    enforced: Option<Enforced<'_>>,
     winners: &[Option<Winner>],
     block_bags: &'a [OnceCell<Vec<VertexSet>>],
     children: &mut Vec<ChildSolution<'a>>,
 ) -> Option<Winner> {
+    let reads_bags = cost.combine_reads_bags();
     let mut best: Option<Winner> = None;
     'candidates: for (i, cand) in candidates.iter().enumerate() {
         children.clear();
+        let mut infinite_child = false;
         for &ci in &cand.children {
             let Some(child) = winners[ci] else {
                 continue 'candidates;
             };
+            infinite_child |= child.cost.is_infinite();
             children.push(ChildSolution {
                 separator: &pre.blocks[ci].separator,
                 separator_missing_edges: pre.separator_missing_edges[ci],
@@ -529,7 +741,24 @@ fn best_candidate<'a, K: BagCost + ?Sized>(
             vertices: &pre.pmcs[cand.pmc],
             missing_edges: pre.pmc_missing_edges[cand.pmc],
         };
-        let value = cost.combine(&pre.graph, scope, omega, children);
+        let violated = match enforced {
+            None => false,
+            // An infinite child's constraints are decided by its bags: a
+            // bag-free cost prices the candidate `∞` anyway, a bag-reading
+            // one gets the rule from subset tests on those bags.
+            Some((masks, _)) if infinite_child => {
+                !reads_bags
+                    || masks
+                        .constraints
+                        .violated_by(scope, omega.vertices, children)
+            }
+            Some((masks, scope_mask)) => masks.rejects(scope_mask, cand),
+        };
+        let value = if violated {
+            CostValue::INFINITE
+        } else {
+            cost.combine(&pre.graph, scope, omega, children)
+        };
         if best.is_none_or(|b| value < b.cost) {
             best = Some(Winner {
                 cost: value,

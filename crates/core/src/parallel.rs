@@ -24,13 +24,13 @@
 //!   session builder uses this path.
 
 use crate::cancel::CancelFlag;
-use crate::cost::{BagCost, Constrained, Constraints, CostValue};
+use crate::cost::{BagCost, Constraints, CostValue};
 use crate::mintriang::{min_triangulation_in, Preprocessed, Triangulation};
 use crate::pool::{self, Scratch, WorkerPool};
 use crate::ranked::{EngineCounters, RankedTriangulation};
 use crate::symmetry::{ModuloDedup, OrbitContext};
+use mtr_chordal::minimal_separators_from_cliques;
 use mtr_graph::VertexSet;
-use mtr_separators::enumerate::minimal_separators;
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, HashSet};
 use std::sync::Arc;
@@ -209,8 +209,7 @@ impl<'a, 'p, K: BagCost + Sync + ?Sized> ParallelRankedEnumerator<'a, 'p, K> {
             .into_iter()
             .map(|constraints| {
                 move |scratch: &mut Scratch| {
-                    let constrained = Constrained::new(cost, &constraints);
-                    let best = min_triangulation_in(pre, &constrained, scratch);
+                    let best = min_triangulation_in(pre, cost, &constraints, scratch);
                     (best, constraints)
                 }
             })
@@ -402,8 +401,9 @@ impl<K: BagCost + Sync + ?Sized> Iterator for ParallelRankedEnumerator<'_, '_, K
                 .as_mut()
                 .is_none_or(|dedup| dedup.admit_result(&fill));
             let is_new = self.emitted_fills.insert(fill);
-            // Computed once: shared by the expansion and the emitted result.
-            let seps_of_h = minimal_separators(&best.graph);
+            // Computed once, from the clique tree of H's bags: shared by
+            // the expansion and the emitted result.
+            let seps_of_h = minimal_separators_from_cliques(best.bags.clone());
             self.expand(&seps_of_h, &entry.constraints, entry.cost);
             if self.failed.is_some() {
                 // The expansion batch died: `best` was computed, but the

@@ -66,6 +66,9 @@ fn pool_metrics() -> &'static PoolMetrics {
 pub struct Scratch {
     free: Vec<VertexSet>,
     bytes_reused: usize,
+    /// One reusable word buffer: the per-solve constraint masks of the
+    /// dynamic program.
+    words: Vec<u64>,
 }
 
 /// Heap bytes of one bitset over `universe` vertices.
@@ -93,6 +96,17 @@ impl Scratch {
         if self.free.len() < 128 {
             self.free.push(set);
         }
+    }
+
+    /// Takes the reusable word buffer (with its capacity, in no particular
+    /// state), leaving an empty one behind.
+    pub(crate) fn take_words(&mut self) -> Vec<u64> {
+        std::mem::take(&mut self.words)
+    }
+
+    /// Hands the word buffer back for the next [`Scratch::take_words`].
+    pub(crate) fn recycle_words(&mut self, words: Vec<u64>) {
+        self.words = words;
     }
 
     /// Total bytes of bitset storage served from the arena instead of fresh

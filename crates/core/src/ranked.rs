@@ -6,9 +6,10 @@
 //! minimal separators (by Parra–Scheffler, a minimal triangulation is
 //! identified by its set of minimal separators). A priority queue holds one
 //! entry per partition, keyed by the cost of the partition's best member,
-//! which is computed by `MinTriang` under the compiled constraint cost
-//! `κ[I, X]`. Popping the cheapest entry emits its triangulation and splits
-//! the remainder of its partition into sub-partitions.
+//! which is computed by `MinTriang` under the constraint cost `κ[I, X]`
+//! (the dynamic program enforces the node's constraints itself). Popping
+//! the cheapest entry emits its triangulation and splits the remainder of
+//! its partition into sub-partitions.
 //!
 //! The enumerator is exposed as a lazy [`Iterator`], so callers get any-time
 //! top-k semantics: stop pulling and no further work is done. With a
@@ -16,12 +17,12 @@
 //! consecutive results is polynomial.
 
 use crate::cancel::CancelFlag;
-use crate::cost::{BagCost, Constrained, Constraints, CostValue};
+use crate::cost::{BagCost, Constraints, CostValue};
 use crate::mintriang::{min_triangulation_in, Preprocessed, Triangulation};
 use crate::pool::Scratch;
 use crate::symmetry::{ModuloDedup, OrbitContext};
+use mtr_chordal::minimal_separators_from_cliques;
 use mtr_graph::{Graph, VertexSet};
-use mtr_separators::enumerate::minimal_separators;
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, HashSet};
 use std::sync::Arc;
@@ -245,7 +246,8 @@ impl RankedState {
                     // unpruned order exactly, ties included, because the
                     // lower bound never exceeds the exact cost.
                     self.nodes_deferred -= 1;
-                    self.resolve_entry(pre, cost, entry);
+                    let bound = Some(entry.cost);
+                    self.solve_partition(pre, cost, entry.constraints, entry.sequence, bound);
                     continue;
                 }
             };
@@ -259,8 +261,9 @@ impl RankedState {
                 .is_none_or(|dedup| dedup.admit_result(&fill));
             let is_new = self.emitted_fills.insert(fill);
             // The minimal separators of H feed both the partition expansion
-            // and the emitted result: compute them once and share.
-            let seps_of_h = minimal_separators(&best.graph);
+            // and the emitted result: compute them once and share. H is
+            // chordal, so they are the adhesions of a clique tree of its bags.
+            let seps_of_h = minimal_separators_from_cliques(best.bags.clone());
             self.expand(pre, cost, &seps_of_h, &entry.constraints, entry.cost);
             if !is_new {
                 // Should not happen (partitions are disjoint); counted so the
@@ -288,33 +291,6 @@ impl RankedState {
         }
     }
 
-    /// Re-optimizes a deferred entry and reinserts it (at its
-    /// exact cost, keeping its sequence number) when its partition is
-    /// non-empty.
-    fn resolve_entry<K: BagCost + ?Sized>(
-        &mut self,
-        pre: &Preprocessed,
-        cost: &K,
-        entry: QueueEntry,
-    ) {
-        self.nodes_explored += 1;
-        let constrained = Constrained::new(cost, &entry.constraints);
-        if let Some(best) = min_triangulation_in(pre, &constrained, &mut self.scratch) {
-            if entry.constraints.satisfied_by_graph(&best.graph) {
-                debug_assert!(
-                    best.cost >= entry.cost,
-                    "deferral lower bound must be admissible"
-                );
-                self.queue.push(QueueEntry {
-                    cost: best.cost,
-                    sequence: entry.sequence,
-                    state: NodeState::Solved(best),
-                    constraints: entry.constraints,
-                });
-            }
-        }
-    }
-
     fn push_partition<K: BagCost + ?Sized>(
         &mut self,
         pre: &Preprocessed,
@@ -322,12 +298,12 @@ impl RankedState {
         constraints: Constraints,
         lower_bound: Option<CostValue>,
     ) {
+        self.sequence += 1;
         if self.prune {
             if let (Some(lb), Some(incumbent)) = (lower_bound, self.incumbent) {
                 // Strictly-greater only: a partition whose bound ties the
                 // incumbent may hold the next result, so it stays eager.
                 if lb > incumbent {
-                    self.sequence += 1;
                     self.nodes_deferred += 1;
                     self.queue.push(QueueEntry {
                         cost: lb,
@@ -339,22 +315,40 @@ impl RankedState {
                 }
             }
         }
+        self.solve_partition(pre, cost, constraints, self.sequence, lower_bound);
+    }
+
+    /// Re-optimizes one partition under its constraints and queues it under
+    /// `sequence` when it is non-empty. `lower_bound`, when known, must not
+    /// exceed the partition's optimum (checked in debug builds).
+    fn solve_partition<K: BagCost + ?Sized>(
+        &mut self,
+        pre: &Preprocessed,
+        cost: &K,
+        constraints: Constraints,
+        sequence: u64,
+        lower_bound: Option<CostValue>,
+    ) {
         self.nodes_explored += 1;
-        let constrained = Constrained::new(cost, &constraints);
-        if let Some(best) = min_triangulation_in(pre, &constrained, &mut self.scratch) {
-            // Guard against a best solution that silently violates the
-            // constraints (line 12 of the algorithm): only non-empty
-            // partitions are enqueued.
-            if constraints.satisfied_by_graph(&best.graph) {
-                self.sequence += 1;
-                self.queue.push(QueueEntry {
-                    cost: best.cost,
-                    sequence: self.sequence,
-                    state: NodeState::Solved(best),
-                    constraints,
-                });
-            }
+        let Some(best) = min_triangulation_in(pre, cost, &constraints, &mut self.scratch) else {
+            return;
+        };
+        // Guard against a best solution that silently violates the
+        // constraints (line 12 of the algorithm): only non-empty partitions
+        // are enqueued.
+        if !constraints.satisfied_by_graph(&best.graph) {
+            return;
         }
+        debug_assert!(
+            lower_bound.is_none_or(|lb| best.cost >= lb),
+            "a partition's lower bound must be admissible"
+        );
+        self.queue.push(QueueEntry {
+            cost: best.cost,
+            sequence,
+            state: NodeState::Solved(best),
+            constraints,
+        });
     }
 
     fn expand<K: BagCost + ?Sized>(

@@ -10,8 +10,10 @@ use mtr_core::cost::{
     AtomCombine, BagCost, CandidateBag, ChildSolution, Constrained, Constraints, CostValue,
     ExpBagSum, FillIn, WeightedFillIn, WeightedWidth, Width, WidthThenFill,
 };
+use mtr_core::pool::Scratch;
 use mtr_core::{
-    all_triangulations_ranked, min_triangulation, Enumerate, Preprocessed, Triangulation,
+    all_triangulations_ranked, min_triangulation, min_triangulation_in, Enumerate, Preprocessed,
+    Triangulation,
 };
 use mtr_graph::{Graph, VertexSet};
 use proptest::prelude::*;
@@ -233,6 +235,71 @@ proptest! {
                     .collect()
             };
             prop_assert_eq!(stream(cost), stream(&bag_path));
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The dynamic program's own enforcement of `[I, X]` (bit masks
+    /// compiled from containment rows) is bit for bit the public cost form:
+    /// `min_triangulation_in(pre, cost, &[I, X])` equals
+    /// `min_triangulation(pre, &Constrained::new(cost, &[I, X]))` — cost bits
+    /// and graph, or both `None`. The cases cover more than 64 constraints
+    /// (a word boundary), vertex sets that are not minimal separators
+    /// (uncached rows, possibly spanning components), a bag-reading cost
+    /// (the infinite-child subset rule), and `Constrained` user costs under
+    /// the engine's constraints (nesting).
+    #[test]
+    fn engine_constraints_match_constrained_cost(
+        g in arbitrary_graph(4, 9),
+        picks in prop::collection::vec(0u8..7, 16),
+        loose in prop::collection::vec((0u8..4, 0u32..9, 0u32..9, 0u32..9), 3),
+        wide in 0u8..3,
+    ) {
+        let pre = Preprocessed::new(&g);
+        let n = g.n();
+        let (mut include, mut exclude) = (Vec::new(), Vec::new());
+        let (mut user_include, mut user_exclude) = (Vec::new(), Vec::new());
+        for (sep, pick) in pre.minimal_separators().iter().zip(picks) {
+            match pick {
+                0 => include.push(sep.clone()),
+                1 => exclude.push(sep.clone()),
+                2 => user_include.push(sep.clone()),
+                3 => user_exclude.push(sep.clone()),
+                _ => {}
+            }
+        }
+        for (pick, a, b, c) in loose {
+            let set = VertexSet::from_slice(n, &[a % n, b % n, c % n]);
+            match pick {
+                _ if set.len() < 2 => {}
+                0 => include.push(set),
+                1 => exclude.push(set),
+                _ => {}
+            }
+        }
+        let drawn = include.len() + exclude.len();
+        if wide == 0 && drawn > 0 {
+            let copies = 64 / drawn + 1;
+            include = (0..copies).flat_map(|_| include.iter().cloned()).collect();
+            exclude = (0..copies).flat_map(|_| exclude.iter().cloned()).collect();
+            prop_assert!(include.len() + exclude.len() > 64);
+        }
+        let constraints = Constraints::new(include, exclude);
+        let user = Constraints::new(user_include, user_exclude);
+        let user_fill = Constrained::new(&FillIn, &user);
+        let user_lex = Constrained::new(&WidthThenFill, &user);
+        let costs: [&dyn BagCost; 5] = [&Width, &FillIn, &WidthThenFill, &user_fill, &user_lex];
+        let mut scratch = Scratch::default();
+        for cost in costs {
+            prop_assert_eq!(
+                solved(min_triangulation_in(&pre, cost, &constraints, &mut scratch)),
+                solved(min_triangulation(&pre, &Constrained::new(cost, &constraints))),
+                "{}",
+                cost.name()
+            );
         }
     }
 }

@@ -22,6 +22,7 @@ use mtr_core::{
     RankedEnumerator, SimilarityMeasure, StopReason,
 };
 use mtr_graph::Graph;
+use mtr_separators::minimal_separators;
 use proptest::prelude::*;
 use std::collections::HashSet;
 use std::time::Duration;
@@ -212,6 +213,19 @@ proptest! {
 
     /// Shim equivalence: every builder configuration yields the same results
     /// as the hand-wired enumerator it replaces.
+    /// The engines read each result's minimal separators off the clique
+    /// tree of its bags; that must be exactly the separator enumeration of
+    /// the emitted triangulation, in the same order.
+    #[test]
+    fn result_separators_match_separator_enumeration(g in arbitrary_graph(3, 8)) {
+        let pre = Preprocessed::new(&g);
+        let sequential = RankedEnumerator::new(&pre, &FillIn).take(12);
+        let threaded = ParallelRankedEnumerator::new(&pre, &Width, 2).take(12);
+        for r in sequential.chain(threaded) {
+            prop_assert_eq!(&r.minimal_separators, &minimal_separators(&r.triangulation));
+        }
+    }
+
     #[test]
     fn builder_matches_direct_enumerators(g in arbitrary_graph(3, 7)) {
         let pre = Preprocessed::new(&g);
